@@ -7,7 +7,7 @@ bounds/approximations, high-SNR asymptotics, and a seeded Monte-Carlo
 oracle that validates all of them.
 """
 
-from . import channel, cli, fbl, metrics_csi, metrics_nocsi, montecarlo, numerics
+from . import channel, fbl, metrics_csi, metrics_nocsi, montecarlo, numerics
 from .channel import (
     ChannelRealization,
     GammaMatch,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "channel",
-    "cli",
     "fbl",
     "metrics_csi",
     "metrics_nocsi",

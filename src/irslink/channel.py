@@ -78,11 +78,6 @@ class SystemParams:
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must be in (0, 1), got {self.target_eps}")
 
-    @property
-    def rate_nats(self) -> float:
-        """Per-use coding rate in nats, packet_bits * ln2 / blocklength."""
-        return self.packet_bits * _LN2 / self.blocklength
-
 
 @dataclass(frozen=True)
 class NoCsiDist:

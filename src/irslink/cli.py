@@ -34,15 +34,66 @@ __all__ = [
     "main",
 ]
 
-VALID_METHODS = {
-    ("adr", "nocsi"): ("numerical", "lower_bound", "upper_bound", "approx",
-                       "asymptotic", "shannon", "montecarlo"),
-    ("adr", "csi"): ("numerical", "closed_form", "approx", "asymptotic",
-                     "shannon", "montecarlo"),
-    ("adep", "nocsi"): ("numerical", "linearized", "approx", "asymptotic",
-                        "montecarlo"),
-    ("adep", "csi"): ("numerical", "linearized", "asymptotic", "montecarlo"),
+
+def _exact(formula):
+    """Evaluator of a deterministic formula(params, rs_convention): no stderr."""
+    return lambda params, mc, rs_convention: (formula(params, rs_convention), None)
+
+
+def _sampled(estimator):
+    """Evaluator of a Monte-Carlo estimator(params, mc) -> McEstimate."""
+    def evaluate(params, mc, rs_convention):
+        est = estimator(params, mc)
+        return est.value, est.stderr
+    return evaluate
+
+
+# Evaluators shared by a method and its alias.  Every evaluator looks its
+# library function up through the module when called, so code that swaps a
+# module attribute (tests, tracing) reaches the sweep.
+_adr_nocsi_lower = _exact(lambda p, rs: metrics_nocsi.adr_lower_bound(p))
+_adr_nocsi_upper = _exact(lambda p, rs: metrics_nocsi.adr_upper_bound(p))
+_adr_csi_closed = _exact(lambda p, rs: metrics_csi.adr_closed_form(p))
+
+# (metric, mode) -> {method: evaluator(params, mc, rs_convention) -> (value, stderr|None)}
+_EVALUATORS = {
+    ("adr", "nocsi"): {
+        "numerical": _exact(lambda p, rs: metrics_nocsi.adr_numerical(p)),
+        "lower_bound": _adr_nocsi_lower,
+        "upper_bound": _adr_nocsi_upper,
+        "approx": _adr_nocsi_lower,
+        "asymptotic": _exact(lambda p, rs: metrics_nocsi.adr_asymptotic(p)),
+        "shannon": _adr_nocsi_upper,
+        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "nocsi", mc)),
+    },
+    ("adr", "csi"): {
+        "numerical": _exact(lambda p, rs: metrics_csi.adr_numerical_gamma(p)),
+        "closed_form": _adr_csi_closed,
+        "approx": _adr_csi_closed,
+        "asymptotic": _exact(lambda p, rs: metrics_csi.adr_simplified(p)),
+        "shannon": _exact(lambda p, rs: metrics_csi.shannon_gamma(p)),
+        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "csi", mc)),
+    },
+    ("adep", "nocsi"): {
+        "numerical": _exact(lambda p, rs: metrics_nocsi.adep_numerical(p)),
+        "linearized": _exact(lambda p, rs: metrics_nocsi.adep_linearized(p)),
+        "approx": _exact(lambda p, rs: metrics_nocsi.adep_approx(p)),
+        "asymptotic": _exact(
+            lambda p, rs: metrics_nocsi.adep_asymptotic(p, rs_convention=rs)),
+        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "nocsi", mc)),
+    },
+    ("adep", "csi"): {
+        "numerical": _exact(lambda p, rs: metrics_csi.adep_numerical(p)),
+        "linearized": _exact(lambda p, rs: metrics_csi.adep_linearized(p)),
+        "asymptotic": _exact(
+            lambda p, rs: metrics_csi.adep_asymptotic(p, rs_convention=rs)),
+        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "csi", mc)),
+    },
 }
+
+VALID_METHODS = {pair: tuple(methods) for pair, methods in _EVALUATORS.items()}
+_METRICS = tuple(dict.fromkeys(metric for metric, _ in _EVALUATORS))
+_MODES = tuple(dict.fromkeys(mode for _, mode in _EVALUATORS))
 
 
 @dataclass(frozen=True)
@@ -65,10 +116,10 @@ class SweepSpec:
     rs_convention: str = "nats"
 
     def __post_init__(self):
-        if self.metric not in ("adr", "adep"):
-            raise ValueError(f"metric must be 'adr' or 'adep', got {self.metric!r}")
-        if self.mode not in ("csi", "nocsi"):
-            raise ValueError(f"mode must be 'csi' or 'nocsi', got {self.mode!r}")
+        if self.metric not in _METRICS:
+            raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.methods:
             raise ValueError("at least one method is required")
         valid = VALID_METHODS[(self.metric, self.mode)]
@@ -115,54 +166,6 @@ class MetricCurve:
             self.notes = [""] * len(self.x)
 
 
-def _evaluate_point(metric: str, mode: str, method: str, params: SystemParams,
-                    mc: McConfig, rs_convention: str):
-    """Dispatch one (method, params) evaluation; returns (value, stderr|None)."""
-    if method == "montecarlo":
-        if metric == "adr":
-            est = montecarlo.empirical_adr(params, mode, mc)
-        else:
-            est = montecarlo.empirical_adep(params, mode, mc)
-        return est.value, est.stderr
-
-    if metric == "adr" and mode == "nocsi":
-        fn = {
-            "numerical": metrics_nocsi.adr_numerical,
-            "lower_bound": metrics_nocsi.adr_lower_bound,
-            "approx": metrics_nocsi.adr_lower_bound,
-            "upper_bound": metrics_nocsi.adr_upper_bound,
-            "shannon": metrics_nocsi.adr_upper_bound,
-            "asymptotic": metrics_nocsi.adr_asymptotic,
-        }[method]
-        return fn(params), None
-    if metric == "adr" and mode == "csi":
-        fn = {
-            "numerical": metrics_csi.adr_numerical_gamma,
-            "closed_form": metrics_csi.adr_closed_form,
-            "approx": metrics_csi.adr_closed_form,
-            "asymptotic": metrics_csi.adr_simplified,
-            "shannon": metrics_csi.shannon_gamma,
-        }[method]
-        return fn(params), None
-    if metric == "adep" and mode == "nocsi":
-        if method == "asymptotic":
-            return metrics_nocsi.adep_asymptotic(params, rs_convention=rs_convention), None
-        fn = {
-            "numerical": metrics_nocsi.adep_numerical,
-            "linearized": metrics_nocsi.adep_linearized,
-            "approx": metrics_nocsi.adep_approx,
-        }[method]
-        return fn(params), None
-    # adep / csi
-    if method == "asymptotic":
-        return metrics_csi.adep_asymptotic(params, rs_convention=rs_convention), None
-    fn = {
-        "numerical": metrics_csi.adep_numerical,
-        "linearized": metrics_csi.adep_linearized,
-    }[method]
-    return fn(params), None
-
-
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     """Evaluate every (method, N, SNR) combination the sweep spec requests.
 
@@ -170,8 +173,10 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     the sweep itself never aborts on them.
     """
     grid = spec.snr_grid_db
+    evaluators = _EVALUATORS[(spec.metric, spec.mode)]
     curves = []
     for method in sorted(spec.methods):
+        evaluate = evaluators[method]
         for n in sorted(spec.n_values):
             ys, errs, notes = [], [], []
             for snr_db in grid:
@@ -180,9 +185,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
                     rho=10.0 ** (snr_db / 10.0), blocklength=spec.blocklength,
                     target_eps=spec.target_eps, packet_bits=spec.packet_bits)
                 try:
-                    val, err = _evaluate_point(
-                        spec.metric, spec.mode, method, params, spec.mc,
-                        spec.rs_convention)
+                    val, err = evaluate(params, spec.mc, spec.rs_convention)
                     ys.append(val)
                     errs.append(err)
                     notes.append("")
@@ -283,8 +286,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="figure preset supplying metric/mode/methods/N/grid")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--metric", choices=["adr", "adep"])
-    p.add_argument("--mode", choices=["csi", "nocsi"])
+    p.add_argument("--metric", choices=_METRICS)
+    p.add_argument("--mode", choices=_MODES)
     p.add_argument("--methods", help="comma-separated method list")
     p.add_argument("--n", help="comma-separated element counts")
     p.add_argument("--snr-start", type=float, dest="snr_start", help="grid start in dB")

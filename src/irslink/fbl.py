@@ -81,15 +81,14 @@ def achievable_rate(gamma, blocklength: int, eps: float):
     """Normal-approximation rate in bits per channel use.
 
     May be negative at low SNR; the averaging integrals consume the signed
-    value, so no clamping happens here.
+    value, so no clamping happens here.  Negative gamma is rejected by
+    dispersion.
     """
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("achievable_rate requires gamma >= 0")
     penalty = np.sqrt(dispersion(g) / blocklength) * q_inv(eps) / _LN2
     val = np.log2(1.0 + g) - penalty
     return float(val) if np.ndim(gamma) == 0 else val

@@ -32,9 +32,7 @@ from .channel import (
     snr_pdf_csi,
 )
 from .numerics import (
-    DEFAULT_QUADRATURE,
     EULER_GAMMA,
-    QuadratureSpec,
     digamma,
     hyp_pfq,
     integrate_semi_infinite,
@@ -118,35 +116,28 @@ def _shape_sum(params: SystemParams, match: GammaMatch) -> float:
 # average data rate
 # ---------------------------------------------------------------------------
 
-def adr_numerical_gamma(params: SystemParams, match: GammaMatch | None = None,
-                        spec: QuadratureSpec | None = None) -> float:
+def adr_numerical_gamma(params: SystemParams, match: GammaMatch | None = None) -> float:
     """Average rate by quadrature against the Gamma-model SNR density."""
     match = match or gamma_match(params.alpha, params.beta)
-    spec = spec or DEFAULT_QUADRATURE
     m, eps = params.blocklength, params.target_eps
-    qi = q_inv(eps)
 
     def integrand(x):
-        pen = np.sqrt(fbl.dispersion(x) / m) * qi / _LN2
-        return (np.log2(1.0 + x) - pen) * snr_pdf_csi(x, params, match)
+        return fbl.achievable_rate(x, m, eps) * snr_pdf_csi(x, params, match)
 
-    return integrate_semi_infinite(integrand, spec)
+    return integrate_semi_infinite(integrand)
 
 
-def shannon_gamma(params: SystemParams, match: GammaMatch | None = None,
-                  spec: QuadratureSpec | None = None) -> float:
+def shannon_gamma(params: SystemParams, match: GammaMatch | None = None) -> float:
     """Average Shannon rate under the Gamma model (no blocklength penalty)."""
     match = match or gamma_match(params.alpha, params.beta)
-    spec = spec or DEFAULT_QUADRATURE
 
     def integrand(x):
         return np.log2(1.0 + x) * snr_pdf_csi(x, params, match)
 
-    return integrate_semi_infinite(integrand, spec)
+    return integrate_semi_infinite(integrand)
 
 
-def adr_closed_form(params: SystemParams, match: GammaMatch | None = None,
-                    spec: QuadratureSpec | None = None) -> float:
+def adr_closed_form(params: SystemParams, match: GammaMatch | None = None) -> float:
     """Closed-form average rate with hypergeometric correction terms.
 
     Assembles, per unit of the density normalization 2 rho^(a/2) theta^a
@@ -169,7 +160,7 @@ def adr_closed_form(params: SystemParams, match: GammaMatch | None = None,
         _POLE_FALLBACKS.bump()
         logger.warning(
             "closed-form rate near sec/csc pole (a=%g); falling back to quadrature", a)
-        return adr_numerical_gamma(params, match, spec)
+        return adr_numerical_gamma(params, match)
 
     theta = match.scale
     rho = params.rho
@@ -217,17 +208,15 @@ def rate_gap(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def adep_numerical(params: SystemParams, match: GammaMatch | None = None,
-                   spec: QuadratureSpec | None = None) -> float:
+def adep_numerical(params: SystemParams, match: GammaMatch | None = None) -> float:
     """Average error by quadrature against the Gamma-model density."""
     match = match or gamma_match(params.alpha, params.beta)
-    spec = spec or DEFAULT_QUADRATURE
     m, d = params.blocklength, params.packet_bits
 
     def integrand(x):
         return fbl.decode_error_prob(x, m, d) * snr_pdf_csi(x, params, match)
 
-    return _clamp_prob(integrate_semi_infinite(integrand, spec))
+    return _clamp_prob(integrate_semi_infinite(integrand))
 
 
 def adep_linearized(params: SystemParams, match: GammaMatch | None = None,

@@ -23,10 +23,9 @@ import numpy as np
 from . import fbl
 from .channel import SystemParams, snr_cdf_nocsi, snr_pdf_nocsi
 from .numerics import (
-    DEFAULT_QUADRATURE,
     DomainError,
     EULER_GAMMA,
-    QuadratureSpec,
+    digamma,
     integrate_interval,
     integrate_semi_infinite,
     q_inv,
@@ -46,39 +45,30 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _harmonic(n: int) -> float:
-    """sum_{k=1}^{n-1} 1/k (0 for n = 1)."""
-    return sum(1.0 / k for k in range(1, n))
-
-
 # ---------------------------------------------------------------------------
 # average data rate
 # ---------------------------------------------------------------------------
 
-def adr_numerical(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def adr_numerical(params: SystemParams) -> float:
     """Average rate: quadrature of the short-packet rate against the SNR density."""
-    spec = spec or DEFAULT_QUADRATURE
     m, eps = params.blocklength, params.target_eps
-    qi = q_inv(eps)
 
     def integrand(x):
-        pen = np.sqrt(fbl.dispersion(x) / m) * qi / _LN2
-        return (np.log2(1.0 + x) - pen) * snr_pdf_nocsi(x, params)
+        return fbl.achievable_rate(x, m, eps) * snr_pdf_nocsi(x, params)
 
-    return integrate_semi_infinite(integrand, spec)
+    return integrate_semi_infinite(integrand)
 
 
-def adr_upper_bound(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def adr_upper_bound(params: SystemParams) -> float:
     """Average Shannon rate over the SNR density (penalty term dropped)."""
-    spec = spec or DEFAULT_QUADRATURE
 
     def integrand(x):
         return np.log2(1.0 + x) * snr_pdf_nocsi(x, params)
 
-    return integrate_semi_infinite(integrand, spec)
+    return integrate_semi_infinite(integrand)
 
 
-def adr_lower_bound(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def adr_lower_bound(params: SystemParams) -> float:
     """Lower rate bound: Shannon average minus the worst-case penalty.
 
     Bounding the dispersion by 1 turns the penalty integral into the plain
@@ -86,14 +76,18 @@ def adr_lower_bound(params: SystemParams, spec: QuadratureSpec | None = None) ->
     Qinv(eps) / (sqrt(M) ln2).
     """
     pen = q_inv(params.target_eps) / (math.sqrt(params.blocklength) * _LN2)
-    return adr_upper_bound(params, spec) - pen
+    return adr_upper_bound(params) - pen
 
 
 def adr_asymptotic(params: SystemParams) -> float:
-    """High-SNR rate: (H_{N-1} + ln(alpha beta rho) - Qinv(eps)/sqrt(M) - 2 g0) / ln2."""
+    """High-SNR rate: (H_{N-1} + ln(alpha beta rho) - Qinv(eps)/sqrt(M) - 2 g0) / ln2.
+
+    The harmonic number is read through the digamma identity
+    H_{N-1} = psi(N) + g0.
+    """
     n, m = params.n_elements, params.blocklength
     rab = params.rho * params.alpha * params.beta
-    return (_harmonic(n) + math.log(rab)
+    return (digamma(n) + EULER_GAMMA + math.log(rab)
             - q_inv(params.target_eps) / math.sqrt(m)
             - 2.0 * EULER_GAMMA) / _LN2
 
@@ -102,15 +96,14 @@ def adr_asymptotic(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def adep_numerical(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def adep_numerical(params: SystemParams) -> float:
     """Average error: quadrature of the exact error curve against the density."""
-    spec = spec or DEFAULT_QUADRATURE
     m, d = params.blocklength, params.packet_bits
 
     def integrand(x):
         return fbl.decode_error_prob(x, m, d) * snr_pdf_nocsi(x, params)
 
-    val = integrate_semi_infinite(integrand, spec)
+    val = integrate_semi_infinite(integrand)
     return min(max(val, 0.0), 1.0)
 
 
@@ -121,25 +114,23 @@ def _ramp_pieces(params: SystemParams, lp: fbl.LinearizationParams):
     return lo, hi, snr_cdf_nocsi(lo, params), snr_cdf_nocsi(hi, params)
 
 
-def adep_linearized(params: SystemParams, lp: fbl.LinearizationParams | None = None,
-                    spec: QuadratureSpec | None = None) -> float:
+def adep_linearized(params: SystemParams,
+                    lp: fbl.LinearizationParams | None = None) -> float:
     """Ramp-averaged error using the exact CDF and a quadrature moment term.
 
     F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - mu * int_lo^hi x f(x) dx with the
     lower knee clamped at 0 (the plateau then carries no mass).
     """
-    spec = spec or DEFAULT_QUADRATURE
     lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
     lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
     mu, x0 = lp.slope_mu, lp.center_x0
-    moment = integrate_interval(lambda t: t * snr_pdf_nocsi(t, params), lo, hi, spec)
+    moment = integrate_interval(lambda t: t * snr_pdf_nocsi(t, params), lo, hi)
     val = f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - mu * moment
     return min(max(val, 0.0), 1.0)
 
 
-def adep_approx(params: SystemParams, lp: fbl.LinearizationParams | None = None,
-                exact_bessel: bool = False,
-                spec: QuadratureSpec | None = None) -> float:
+def adep_approx(params: SystemParams,
+                lp: fbl.LinearizationParams | None = None) -> float:
     """Closed-form ramp error with the two-term small-argument Bessel kernel.
 
     The Bessel factor of the moment integrand is replaced by its leading
@@ -149,8 +140,8 @@ def adep_approx(params: SystemParams, lp: fbl.LinearizationParams | None = None,
       mu/(alpha beta rho) * [df2/(N-1) - df1/((N-1)(N-2) alpha beta rho)]
 
     subtracted from the CDF ramp pieces.  Needs N >= 3 for the second kernel
-    term.  exact_bessel=True swaps the kernel back to the exact Bessel moment
-    (by quadrature) to isolate the kernel-approximation error.
+    term.  adep_linearized keeps the exact Bessel moment (by quadrature), so
+    the difference of the two isolates the kernel-approximation error.
     """
     n = params.n_elements
     if n < 3:
@@ -161,14 +152,9 @@ def adep_approx(params: SystemParams, lp: fbl.LinearizationParams | None = None,
     lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
     mu, x0 = lp.slope_mu, lp.center_x0
     rab = params.rho * params.alpha * params.beta
-    if exact_bessel:
-        spec = spec or DEFAULT_QUADRATURE
-        moment_term = mu * integrate_interval(
-            lambda t: t * snr_pdf_nocsi(t, params), lo, hi, spec)
-    else:
-        df2 = 0.5 * (hi * hi - lo * lo)
-        df1 = (hi ** 3 - lo ** 3) / 3.0
-        moment_term = mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
+    df2 = 0.5 * (hi * hi - lo * lo)
+    df1 = (hi ** 3 - lo ** 3) / 3.0
+    moment_term = mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
     val = f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - moment_term
     return min(max(val, 0.0), 1.0)
 

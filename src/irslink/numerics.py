@@ -3,16 +3,17 @@
 Everything downstream (channel distributions, rate/error metrics) funnels
 through this module, so the contracts here are deliberately strict:
 
-  - standard special functions (log-gamma, digamma, incomplete gammas,
-    modified Bessel K, erfc/Q and its inverse) are thin, domain-checked
-    wrappers over the mature scipy/libm implementations;
+  - the standard special functions the link metrics need (digamma,
+    regularized incomplete gammas, the Gaussian tail Q and its inverse)
+    come from the mature scipy implementations;
   - the generalized hypergeometric pFq and the semi-infinite quadrature
     engine are implemented here because the required error semantics
     (term-ratio stopping, tolerance failures carrying best estimates,
     deterministic subdivision) are part of the contract;
-  - a weighted Bessel product (z/2)^n * K_n(z) is exposed separately:
-    the bare factors overflow/underflow pairwise for large n, while the
-    product stays moderate.  All density/CDF code routes through it.
+  - the modified Bessel K is exposed only as the weighted product
+    (z/2)^n * K_n(z): the bare factors overflow/underflow pairwise for
+    large n, while the product stays moderate.  All density/CDF code
+    routes through it.
 
 All functions are pure and thread-safe; array inputs are supported where
 noted.  Angles, tolerances and counts are plain floats/ints.
@@ -33,16 +34,10 @@ __all__ = [
     "ToleranceError",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "ln_gamma",
     "digamma",
-    "incomplete_gamma_lower",
-    "incomplete_gamma_upper",
     "reg_gamma_lower",
     "reg_gamma_upper",
-    "bessel_k_int",
-    "bessel_k_scaled",
     "bessel_k_weighted",
-    "erfc",
     "q_func",
     "q_inv",
     "hyp_pfq",
@@ -108,13 +103,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # gamma-family special functions
 # ---------------------------------------------------------------------------
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """Digamma psi(x) for x > 0.
 
@@ -135,59 +123,9 @@ def reg_gamma_upper(a, x):
     return sc.gammaincc(a, x)
 
 
-def incomplete_gamma_lower(a: float, b: float) -> float:
-    """Unregularized lower incomplete gamma(a, b) = int_0^b t^(a-1) e^-t dt."""
-    if not a > 0.0:
-        raise DomainError(f"incomplete_gamma_lower requires a > 0, got {a}")
-    if b < 0.0:
-        raise DomainError(f"incomplete_gamma_lower requires b >= 0, got {b}")
-    p = sc.gammainc(a, b)
-    if p == 0.0:
-        return 0.0
-    # assemble in log domain so large a does not overflow the Gamma(a) factor
-    return math.exp(math.lgamma(a) + math.log(p))
-
-
-def incomplete_gamma_upper(a: float, x: float) -> float:
-    """Unregularized upper incomplete Gamma(a, x) = Gamma(a) - gamma(a, x)."""
-    if not a > 0.0:
-        raise DomainError(f"incomplete_gamma_upper requires a > 0, got {a}")
-    if x < 0.0:
-        raise DomainError(f"incomplete_gamma_upper requires x >= 0, got {x}")
-    q = sc.gammaincc(a, x)
-    if q == 0.0:
-        return 0.0
-    return math.exp(math.lgamma(a) + math.log(q))
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel functions of the second kind
 # ---------------------------------------------------------------------------
-
-def bessel_k_int(n: int, z: float) -> float:
-    """K_n(z) for integer order n >= 0 and z > 0.
-
-    Raises OverflowError when the value exceeds the double range (small z
-    with large n); use bessel_k_scaled or bessel_k_weighted there.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"bessel_k_int requires integer n >= 0, got {n}")
-    if not z > 0.0:
-        raise DomainError(f"bessel_k_int requires z > 0, got {z}")
-    val = float(sc.kv(n, z))
-    if math.isinf(val):
-        raise OverflowError(f"K_{n}({z}) exceeds double range; use the scaled variant")
-    return val
-
-
-def bessel_k_scaled(n: int, z: float) -> float:
-    """Exponentially scaled e^z * K_n(z); finite even for large z."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"bessel_k_scaled requires integer n >= 0, got {n}")
-    if not np.all(np.asarray(z) > 0.0):
-        raise DomainError(f"bessel_k_scaled requires z > 0, got {z}")
-    return sc.kve(n, z)
-
 
 def _bessel_k_weighted_series(n: int, z: np.ndarray) -> np.ndarray:
     """Small-z series for (z/2)^n K_n(z), n >= 1.
@@ -256,11 +194,6 @@ def bessel_k_weighted(n: int, z) -> np.ndarray | float:
 # Gaussian tail functions
 # ---------------------------------------------------------------------------
 
-def erfc(x):
-    """Complementary error function; array-friendly."""
-    return sc.erfc(x)
-
-
 def q_func(x):
     """Gaussian tail Q(x) = 0.5 * erfc(x / sqrt(2)); array-friendly."""
     return 0.5 * sc.erfc(np.asarray(x, dtype=float) / _SQRT2)
@@ -303,9 +236,6 @@ def hyp_pfq(a_list, b_list, z: float, rel_tol: float = 1e-15,
             raise DomainError(f"pFq pole: b parameter {bj} is a nonpositive integer")
     if z == 0.0:
         return 1.0
-    if any(ai <= 0.0 and ai == int(ai) for ai in a):
-        # terminating polynomial; the loop below stops at the zero factor
-        pass
     total = 1.0
     term = 1.0
     small_streak = 0

@@ -50,11 +50,6 @@ def test_system_params_validation():
         SystemParams(n_elements=4, packet_bits=0.0)
 
 
-def test_rate_nats():
-    p = SystemParams(n_elements=4, blocklength=200, packet_bits=100.0)
-    assert abs(p.rate_nats - 100.0 * math.log(2.0) / 200.0) < 1e-16
-
-
 def test_nocsi_dist_coefficients():
     for n, rho, alpha, beta in [(5, 2.0, 1.0, 1.0), (20, 100.0, 0.5, 2.5), (40, 1.0, 1.0, 1.0)]:
         p = SystemParams(n_elements=n, rho=rho, alpha=alpha, beta=beta)

@@ -2,15 +2,51 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from irslink import cli, metrics_nocsi
+import irslink
+from irslink import cli, metrics_csi, metrics_nocsi, montecarlo
+from irslink.channel import SystemParams
 from irslink.cli import MetricCurve, PRESETS, SweepSpec, emit_csv, main, run_sweep
 from irslink.montecarlo import McConfig
 from irslink.numerics import ToleranceError
 
 FAST_MC = McConfig(trials=50, seed=1)
+
+# The library call behind each CLI method, written out independently of the
+# CLI's own table; an alias is checked against its target's call.
+ALIAS_TARGETS = {
+    ("adr", "nocsi", "approx"): "lower_bound",
+    ("adr", "nocsi", "shannon"): "upper_bound",
+    ("adr", "csi", "approx"): "closed_form",
+}
+LIBRARY_CALLS = {
+    ("adr", "nocsi", "numerical"): metrics_nocsi.adr_numerical,
+    ("adr", "nocsi", "lower_bound"): metrics_nocsi.adr_lower_bound,
+    ("adr", "nocsi", "upper_bound"): metrics_nocsi.adr_upper_bound,
+    ("adr", "nocsi", "asymptotic"): metrics_nocsi.adr_asymptotic,
+    ("adr", "nocsi", "montecarlo"): lambda p: montecarlo.empirical_adr(p, "nocsi", FAST_MC),
+    ("adr", "csi", "numerical"): metrics_csi.adr_numerical_gamma,
+    ("adr", "csi", "closed_form"): metrics_csi.adr_closed_form,
+    ("adr", "csi", "asymptotic"): metrics_csi.adr_simplified,
+    ("adr", "csi", "shannon"): metrics_csi.shannon_gamma,
+    ("adr", "csi", "montecarlo"): lambda p: montecarlo.empirical_adr(p, "csi", FAST_MC),
+    ("adep", "nocsi", "numerical"): metrics_nocsi.adep_numerical,
+    ("adep", "nocsi", "linearized"): metrics_nocsi.adep_linearized,
+    ("adep", "nocsi", "approx"): metrics_nocsi.adep_approx,
+    ("adep", "nocsi", "asymptotic"): metrics_nocsi.adep_asymptotic,
+    ("adep", "nocsi", "montecarlo"): lambda p: montecarlo.empirical_adep(p, "nocsi", FAST_MC),
+    ("adep", "csi", "numerical"): metrics_csi.adep_numerical,
+    ("adep", "csi", "linearized"): metrics_csi.adep_linearized,
+    ("adep", "csi", "asymptotic"): metrics_csi.adep_asymptotic,
+    ("adep", "csi", "montecarlo"): lambda p: montecarlo.empirical_adep(p, "csi", FAST_MC),
+}
 
 
 def small_spec(**kw):
@@ -61,16 +97,23 @@ def test_curve_validation():
 # sweeps
 # ---------------------------------------------------------------------------
 
-def test_run_sweep_shape_and_values():
-    curves = run_sweep(small_spec())
-    assert len(curves) == 2
-    for c in curves:
-        assert c.x == [0.0, 2.0, 4.0]
-        assert all(y is not None for y in c.y)
-    num = next(c for c in curves if c.method == "numerical")
-    from irslink.channel import SystemParams
-    direct = metrics_nocsi.adr_numerical(SystemParams(n_elements=2, rho=10.0 ** 0.2))
-    assert num.y[1] == direct
+@pytest.mark.parametrize("metric,mode,method", [
+    (metric, mode, method)
+    for (metric, mode), methods in cli.VALID_METHODS.items() for method in methods])
+def test_run_sweep_shape_and_values(metric, mode, method):
+    spec = small_spec(metric=metric, mode=mode, methods=(method,),
+                      snr_start_db=2.0, snr_stop_db=2.0, n_values=(3,))
+    (c,) = run_sweep(spec)
+    assert (c.metric, c.mode, c.method, c.n, c.x) == (metric, mode, method, 3, [2.0])
+    target = ALIAS_TARGETS.get((metric, mode, method), method)
+    direct = LIBRARY_CALLS[(metric, mode, target)](SystemParams(n_elements=3, rho=10.0 ** 0.2))
+    if method == "montecarlo":
+        assert c.y == [direct.value] and c.y_err == [direct.stderr]
+    else:
+        assert c.y == [direct] and c.y_err is None
+    if target != method:
+        (t,) = run_sweep(replace(spec, methods=(target,)))
+        assert t.y == c.y
 
 
 def test_run_sweep_montecarlo_has_error_bars():
@@ -80,7 +123,7 @@ def test_run_sweep_montecarlo_has_error_bars():
 
 
 def test_run_sweep_records_failures(monkeypatch):
-    def boom(params, spec=None):
+    def boom(params):
         raise ToleranceError("stub failure", 0.0, 1.0)
     monkeypatch.setattr(metrics_nocsi, "adr_numerical", boom)
     curves = run_sweep(small_spec(methods=("numerical",)))
@@ -156,7 +199,6 @@ def test_config_file_precedence(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1  # single grid point from config
-    from irslink.channel import SystemParams
     expect = metrics_nocsi.adr_asymptotic(
         SystemParams(n_elements=3, alpha=4.0, rho=1.0))  # flag wins over config
     assert float(rows[0]["value"]) == expect
@@ -179,7 +221,7 @@ def test_exit_invalid_invocation():
 
 
 def test_exit_partial_failure(monkeypatch, tmp_path, capsys):
-    def boom(params, spec=None):
+    def boom(params):
         raise ToleranceError("stub failure", 0.0, 1.0)
     monkeypatch.setattr(metrics_nocsi, "adr_numerical", boom)
     out = tmp_path / "x.csv"
@@ -223,3 +265,16 @@ def test_stdout_output(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("metric,mode,method,n,snr_db,value,stderr,note")
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(irslink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "irslink.cli",
+         "--methods", "asymptotic", "--n", "2", "--snr-start", "0", "--snr-stop", "0",
+         "--snr-step", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("metric,mode,method,n,snr_db,value,stderr,note")

@@ -137,14 +137,6 @@ def test_adep_approx_domain_error_small_n():
         mn.adep_approx(SystemParams(n_elements=2, rho=10.0))
 
 
-def test_adep_approx_exact_bessel_reproduces_linearized():
-    for rho in (1.0, 100.0, 1e4):
-        p = _at(P20, rho=rho)
-        lin = mn.adep_linearized(p)
-        app = mn.adep_approx(p, exact_bessel=True)
-        assert abs(app - lin) <= 1e-6 * max(lin, 1e-300)
-
-
 def test_adep_linearized_step_limit():
     # mu -> infinity collapses the ramp onto the CDF at the center; probed at
     # mu = 1e5 where CDF differencing across the ramp still has full precision

@@ -18,23 +18,6 @@ def test_q_roundtrip_property(p):
 
 
 @COMMON
-@given(st.floats(min_value=0.1, max_value=60.0),
-       st.floats(min_value=0.0, max_value=80.0))
-def test_incomplete_gamma_complementarity_property(a, x):
-    total = nx.incomplete_gamma_lower(a, x) + nx.incomplete_gamma_upper(a, x)
-    assert abs(total - math.gamma(a)) <= 1e-12 * math.gamma(a)
-
-
-@COMMON
-@given(st.integers(min_value=1, max_value=60),
-       st.floats(min_value=0.01, max_value=50.0))
-def test_bessel_recurrence_property(n, z):
-    lhs = nx.bessel_k_int(n + 1, z)
-    rhs = nx.bessel_k_int(n - 1, z) + (2.0 * n / z) * nx.bessel_k_int(n, z)
-    assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
-
-
-@COMMON
 @given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=0, max_size=2),
        st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=3))
 def test_hyp_pfq_unit_at_origin(a, b):
