@@ -7,13 +7,15 @@ sweeps, D = 100 bits for error sweeps, 10000 Monte-Carlo trials.
 
 CSV contract: header  metric,mode,method,n,snr_db,value,stderr,note  with
 one row per sweep point, 17-significant-digit decimals, empty value plus a
-reason note for points whose evaluation failed.  Exit codes: 0 full
-success, 1 invalid invocation, 2 at least one per-point failure.
+reason note for points whose evaluation failed or was not finite.  Exit
+codes: 0 full success, 1 invalid invocation, 2 at least one per-point
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -169,8 +171,9 @@ class MetricCurve:
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     """Evaluate every (method, N, SNR) combination the sweep spec requests.
 
-    Per-point failures are recorded as missing values with a reason note;
-    the sweep itself never aborts on them.
+    Per-point failures, including non-finite values, are recorded as
+    missing values with a reason note; the sweep itself never aborts on
+    them.
     """
     grid = spec.snr_grid_db
     evaluators = _EVALUATORS[(spec.metric, spec.mode)]
@@ -186,14 +189,15 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
                     target_eps=spec.target_eps, packet_bits=spec.packet_bits)
                 try:
                     val, err = evaluate(params, spec.mc, spec.rs_convention)
-                    ys.append(val)
-                    errs.append(err)
-                    notes.append("")
+                    note = ""
                 except (ToleranceError, NonConvergenceError, OverflowError,
                         ValueError) as exc:
-                    ys.append(None)
-                    errs.append(None)
-                    notes.append(f"{type(exc).__name__}: {exc}")
+                    val, err, note = None, None, f"{type(exc).__name__}: {exc}"
+                if val is not None and not math.isfinite(val):
+                    val, err, note = None, None, f"non-finite value {val}"
+                ys.append(val)
+                errs.append(err)
+                notes.append(note)
             has_err = any(e is not None for e in errs)
             curves.append(MetricCurve(
                 metric=spec.metric, mode=spec.mode, method=method, n=int(n),

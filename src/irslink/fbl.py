@@ -18,6 +18,7 @@ it as a keyword.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +78,15 @@ def dispersion(gamma):
     return float(val) if np.ndim(gamma) == 0 else val
 
 
+@functools.lru_cache(maxsize=16)
+def _q_inv_once(eps: float) -> float:
+    """q_inv(eps), computed once per distinct eps.
+
+    The ADR quadratures call achievable_rate once per panel with one eps.
+    """
+    return q_inv(eps)
+
+
 def achievable_rate(gamma, blocklength: int, eps: float):
     """Normal-approximation rate in bits per channel use.
 
@@ -89,7 +99,7 @@ def achievable_rate(gamma, blocklength: int, eps: float):
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     g = np.asarray(gamma, dtype=float)
-    penalty = np.sqrt(dispersion(g) / blocklength) * q_inv(eps) / _LN2
+    penalty = np.sqrt(dispersion(g) / blocklength) * _q_inv_once(float(eps)) / _LN2
     val = np.log2(1.0 + g) - penalty
     return float(val) if np.ndim(gamma) == 0 else val
 

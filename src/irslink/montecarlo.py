@@ -10,8 +10,15 @@ are reduced with numpy's fixed pairwise summation over the full trial
 vector.  Estimates are therefore bit-identical for a given (seed, trials)
 regardless of batch size or how batches are distributed across workers.
 
-Gaussians are produced by an explicit Box-Muller transform (rejection-free,
-fixed consumption), with real/imaginary parts at half the complex variance.
+Channels follow an explicit Box-Muller transform (rejection-free, fixed
+consumption), with real/imaginary parts at half the complex variance.  The
+SNR kernel needs only each element's amplitude product |h_i||g_i| and, for
+no-CSI, its phase difference, so it works in real arithmetic; complex
+channels are formed only by sample_realization.
+
+Memory: McConfig.batch bounds the trials of one metric evaluation (SNR and
+metric vectors of batch doubles), and the kernel draws uniforms in tiles
+of _TILE_UNIFORMS doubles, so draw memory is fixed whatever N and batch.
 
 The error estimator averages the exact per-trial error expression rather
 than Bernoulli decode outcomes: the target quantity is the expectation of
@@ -41,11 +48,19 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_MODES = ("csi", "nocsi")
+# Uniforms drawn at once by the SNR kernel: 2^16 doubles = 512 KiB.
+_TILE_UNIFORMS = 2 ** 16
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, stream seed and batch (chunk) size for vector evaluation."""
+    """Trial count, stream seed and batch size for vector evaluation.
+
+    batch bounds the trials whose SNR and metric values are evaluated at
+    once; the uniforms behind them are drawn in fixed tiles, so batch does
+    not bound draw memory and does not change any estimate.
+    """
 
     trials: int = 10_000
     seed: int = 0
@@ -87,17 +102,60 @@ def _channels_from_uniforms(u: np.ndarray, alpha: float, beta: float):
     return h, g
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
+
+
 def _snr_block(params: SystemParams, mode: str, seed: int,
                start_trial: int, count: int) -> np.ndarray:
-    u = _uniform_block(seed, start_trial, count, params.n_elements)
-    h, g = _channels_from_uniforms(u, params.alpha, params.beta)
-    if mode == "nocsi":
-        s = np.abs(np.sum(np.conj(g) * h, axis=1)) ** 2
-    elif mode == "csi":
-        s = np.sum(np.abs(g) * np.abs(h), axis=1) ** 2
-    else:
-        raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
-    return params.rho * s
+    """Per-trial SNR of trials [start_trial, start_trial + count).
+
+    Real-arithmetic kernel over tiles of at most _TILE_UNIFORMS uniforms.
+    With L = log1p(-u) of a hop's amplitude uniform, Box-Muller gives
+    |h_i||g_i| = sqrt(alpha beta) A_i with A_i = sqrt(L_h L_g), and the
+    phase of conj(g_i) h_i is D_i = 2 pi (u_h_phase - u_g_phase).  So
+
+        CSI:    rho alpha beta (sum A)^2
+        no-CSI: rho alpha beta ((sum A cos D)^2 + (sum A sin D)^2)
+
+    i.e. rho (sum |g||h|)^2 and rho |sum conj(g) h|^2 without complex numbers.
+    The no-CSI sums come from one tangent per element: with t = tan(D/2)
+    and r = A / (1 + t^2), A cos D = 2r - A and A sin D = 2rt.  (numpy 2.x
+    on x86-64 vectorizes float64 tan but calls libm for sin and cos, so one
+    tangent costs a fraction of a sine plus a cosine.)  D/2 is pi times a
+    multiple of 2^-53, so |t| <= tan(fl(pi/2)) ~ 1.6e16 and t^2 stays
+    finite; each term keeps an absolute error of a few ulp of A, as with
+    cos and sin.
+    """
+    _check_mode(mode)
+    n = params.n_elements
+    rows = max(1, _TILE_UNIFORMS // (4 * n))
+    out = np.empty(count)
+    work = np.empty((min(rows, count), n)) if mode == "nocsi" else None
+    for lo in range(0, count, rows):
+        k = min(rows, count - lo)
+        u = _uniform_block(seed, start_trial + lo, k, n)
+        # A overwrites the h amplitudes, tan(D/2) the h phases
+        amp, amp_g = u[:, :n], u[:, 2 * n:3 * n]
+        for col in (amp, amp_g):
+            np.log1p(np.negative(col, out=col), out=col)
+        np.sqrt(np.multiply(amp, amp_g, out=amp), out=amp)
+        if mode == "csi":
+            np.square(np.sum(amp, axis=1), out=out[lo:lo + k])
+            continue
+        t = u[:, n:2 * n]
+        np.subtract(t, u[:, 3 * n:], out=t)
+        t *= math.pi
+        np.tan(t, out=t)
+        r = np.square(t, out=work[:k])
+        r += 1.0
+        np.divide(amp, r, out=r)
+        re = 2.0 * np.sum(r, axis=1) - np.sum(amp, axis=1)
+        im = 2.0 * np.sum(np.multiply(r, t, out=t), axis=1)
+        np.add(re * re, im * im, out=out[lo:lo + k])
+    out *= params.rho * params.alpha * params.beta
+    return out
 
 
 def sample_realization(seed: int, trial_index: int, params: SystemParams) -> ChannelRealization:
@@ -131,6 +189,7 @@ def _reduce(values: np.ndarray) -> McEstimate:
 
 def empirical_adr(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
     """Mean short-packet rate over seeded trials (CSI mode co-phases first)."""
+    _check_mode(mode)
     m, eps = params.blocklength, params.target_eps
     return _reduce(_per_trial_values(
         params, mode, mc, lambda snr: fbl.achievable_rate(snr, m, eps)))
@@ -138,6 +197,7 @@ def empirical_adr(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
 
 def empirical_adep(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
     """Mean exact per-trial error expression over seeded trials."""
+    _check_mode(mode)
     m, d = params.blocklength, params.packet_bits
     return _reduce(_per_trial_values(
         params, mode, mc, lambda snr: fbl.decode_error_prob(snr, m, d)))
@@ -146,6 +206,7 @@ def empirical_adep(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
 def empirical_snr_cdf(params: SystemParams, mode: str, mc: McConfig,
                       grid) -> np.ndarray:
     """Empirical SNR CDF on a sorted grid (for distribution-fit checks)."""
+    _check_mode(mode)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")

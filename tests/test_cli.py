@@ -233,6 +233,20 @@ def test_exit_partial_failure(monkeypatch, tmp_path, capsys):
     assert "ToleranceError" in text
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_value_is_a_failed_point(monkeypatch, tmp_path, bad):
+    monkeypatch.setattr(metrics_nocsi, "adep_linearized", lambda params: bad)
+    out = tmp_path / "x.csv"
+    code = main(["--metric", "adep", "--mode", "nocsi", "--methods", "linearized",
+                 "--n", "2", "--snr-start", "0", "--snr-stop", "2", "--snr-step", "2",
+                 "--out", str(out)])
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 2
+    assert all(r["value"] == "" and r["stderr"] == "" for r in rows)
+    assert all(r["note"] == f"non-finite value {bad}" for r in rows)
+
+
 def test_cli_csv_identical_across_batch_sizes(tmp_path):
     outs = []
     for batch in ("100", "137", "1000"):

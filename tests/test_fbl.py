@@ -36,6 +36,16 @@ def test_achievable_rate_reference_point():
     assert abs(rate - 1.4457) < 1e-4
 
 
+def test_achievable_rate_memoized_q_inv_is_bit_identical():
+    # q_inv(eps) is cached per eps; repeated calls give the uncached formula exactly
+    g = np.geomspace(1e-3, 1e3, 50)
+    for eps in (1e-8, np.float64(1e-5), 0.1):
+        expect = (np.log2(1.0 + g)
+                  - np.sqrt(fbl.dispersion(g) / 200) * q_inv(float(eps)) / math.log(2.0))
+        for _ in range(2):
+            assert np.array_equal(fbl.achievable_rate(g, 200, eps), expect)
+
+
 def test_achievable_rate_zero_snr():
     assert fbl.achievable_rate(0.0, 200, 1e-8) == 0.0
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,41 @@ def test_mc_config_validation():
 
 
 def test_batch_independence_bit_identical():
-    for mode in ("nocsi", "csi"):
-        ests = [mo.empirical_adr(P20, mode, McConfig(trials=30_000, seed=3, batch=b))
-                for b in (999, 7_000, 30_000)]
-        assert all(e.value == ests[0].value and e.stderr == ests[0].stderr
-                   for e in ests)
+    # N = 1024 draws 16-trial tiles: batches of 1 and 13 straddle them
+    cases = [(P20, 30_000, (999, 7_000, 30_000)),
+             (SystemParams(n_elements=1024, rho=1.0), 100, (1, 13, 5_000))]
+    for params, trials, batches in cases:
+        for mode in ("nocsi", "csi"):
+            ests = [mo.empirical_adr(params, mode, McConfig(trials=trials, seed=3, batch=b))
+                    for b in batches]
+            assert all(e.value == ests[0].value and e.stderr == ests[0].stderr
+                       for e in ests), (params.n_elements, mode)
+
+
+def test_draw_memory_bounded_by_tile():
+    p = SystemParams(n_elements=1024, rho=1.0)
+    tracemalloc.start()
+    try:
+        mo.empirical_adr(p, "nocsi", McConfig(trials=5_000, seed=1, batch=20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 20, 40, 256, 1024])
+def test_kernel_matches_complex_reference(n):
+    # the real-arithmetic kernel against |sum conj(g) h|^2 and (sum |g||h|)^2
+    # on the complex channels of the same uniforms
+    p = SystemParams(n_elements=n, alpha=0.7, beta=2.3, rho=3.0)
+    start, count = 5, 40 if n >= 256 else 2_000
+    h, g = mo._channels_from_uniforms(mo._uniform_block(8, start, count, n), 0.7, 2.3)
+    csi_ref = p.rho * np.sum(np.abs(g) * np.abs(h), axis=1) ** 2
+    nocsi_ref = p.rho * np.abs(np.sum(np.conj(g) * h, axis=1)) ** 2
+    csi = mo._snr_block(p, "csi", 8, start, count)
+    nocsi = mo._snr_block(p, "nocsi", 8, start, count)
+    assert np.all(np.abs(csi - csi_ref) <= 1e-14 * csi_ref)
+    assert np.all(np.abs(nocsi - nocsi_ref) <= 1e-14 * csi_ref)
 
 
 def test_sample_realization_determinism():
@@ -113,6 +144,14 @@ def test_stderr_scaling():
         assert abs(ratio - math.sqrt(10.0)) < 0.2 * math.sqrt(10.0)
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        mo.empirical_adr(P20, "sideways", McConfig(trials=10, seed=0))
+def test_invalid_mode_rejected(monkeypatch):
+    # rejected before any uniform is drawn
+    def no_draw(*args):
+        raise AssertionError("drew uniforms for an invalid mode")
+    monkeypatch.setattr(mo, "_uniform_block", no_draw)
+    mc = McConfig(trials=10, seed=0)
+    for call in (lambda: mo.empirical_adr(P20, "sideways", mc),
+                 lambda: mo.empirical_adep(P20, "sideways", mc),
+                 lambda: mo.empirical_snr_cdf(P20, "sideways", mc, [1.0])):
+        with pytest.raises(ValueError, match="mode"):
+            call()
