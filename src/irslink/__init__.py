@@ -8,13 +8,7 @@ oracle that validates all of them.
 """
 
 from . import channel, fbl, metrics_csi, metrics_nocsi, montecarlo, numerics
-from .channel import (
-    ChannelRealization,
-    GammaMatch,
-    NoCsiDist,
-    SystemParams,
-    gamma_match,
-)
+from .channel import GammaMatch, SystemParams, gamma_match
 from .fbl import LinearizationParams, linearization_params
 from .montecarlo import McConfig, McEstimate
 from .numerics import QuadratureSpec
@@ -28,9 +22,7 @@ __all__ = [
     "metrics_nocsi",
     "montecarlo",
     "numerics",
-    "ChannelRealization",
     "GammaMatch",
-    "NoCsiDist",
     "SystemParams",
     "gamma_match",
     "LinearizationParams",

@@ -1,4 +1,4 @@
-"""SNR distributions and channel-realization geometry for the reflected link.
+"""SNR distributions of the reflected link, each a function of SystemParams.
 
 The link is controller -> reflecting surface (N passive elements) -> device.
 Per-element coefficients are independent circularly-symmetric complex
@@ -13,13 +13,15 @@ Two operating modes are covered:
     handled through a Gamma moment match of the per-element product.
 
 Density/CDF evaluation routes through the weighted Bessel product and log
-domain arithmetic so that N = 40 and large SNR stay finite.
+domain arithmetic so that N = 40 and large SNR stay finite.  Per-trial
+channel draws live in montecarlo, whose kernel evaluates the same two SNR
+expressions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +29,14 @@ from .numerics import bessel_k_weighted, reg_gamma_lower
 
 __all__ = [
     "SystemParams",
-    "NoCsiDist",
     "GammaMatch",
-    "ChannelRealization",
-    "cascade_pdf",
     "snr_pdf_nocsi",
     "snr_cdf_nocsi",
     "gamma_match",
-    "xi_pdf",
-    "xi_cdf",
     "snr_cdf_csi",
     "snr_pdf_csi",
-    "optimal_phases",
-    "realized_snr",
-    "cascade_gain",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
 
@@ -80,21 +73,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class NoCsiDist:
-    """Coefficients of the zero-phase SNR density A x^((N-1)/2) K_{N-1}(2 sqrt(Bx))."""
-
-    a_coef: float
-    b_coef: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "NoCsiDist":
-        n = params.n_elements
-        rab = params.rho * params.alpha * params.beta
-        log_a = _LN2 - math.lgamma(n) - 0.5 * (n + 1) * math.log(rab)
-        return cls(a_coef=math.exp(log_a), b_coef=1.0 / rab)
-
-
-@dataclass(frozen=True)
 class GammaMatch:
     """Moment-matched Gamma(shape, scale) fit of the per-element product |g||h|."""
 
@@ -106,50 +84,26 @@ class GammaMatch:
             raise ValueError("GammaMatch requires positive shape and scale")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the N complex channel pairs plus the applied phase vector."""
-
-    h: np.ndarray
-    g: np.ndarray
-    phases: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        g = np.asarray(self.g, dtype=complex)
-        if h.shape != g.shape or h.ndim != 1:
-            raise ValueError("h and g must be 1-D arrays of equal length")
-        phases = self.phases
-        if phases is None:
-            phases = np.zeros(h.shape[0])
-        phases = np.mod(np.asarray(phases, dtype=float), _TWO_PI)
-        if phases.shape != h.shape:
-            raise ValueError("phases must match the channel length")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "phases", phases)
-
-    @property
-    def n_elements(self) -> int:
-        return self.h.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # no-CSI distributions (exact)
 # ---------------------------------------------------------------------------
 
-def _bessel_density(x, n: int, b: float):
-    """Shared kernel (2 b / Gamma(n)) (z/2)^(n-1) K_{n-1}(z), z = 2 sqrt(b x).
+def snr_pdf_nocsi(x, params: SystemParams):
+    """Density of the zero-phase SNR rho |sum conj(g_n) h_n|^2.
 
-    This equals A x^((n-1)/2) K_{n-1}(2 sqrt(b x)) with the normalizing
-    constant folded in, but stays finite where the two factors overflow
-    pairwise.  The x -> 0 limit is the positive constant b/(n-1) for n >= 2
-    (full cancellation across elements keeps density at the origin) and
-    diverges logarithmically for n = 1.
+    With b = 1/(rho alpha beta) and z = 2 sqrt(b x) this is
+    (2 b / Gamma(N)) (z/2)^(N-1) K_{N-1}(z), i.e. A x^((N-1)/2) K_{N-1}(z)
+    with the normalizing constant folded into the weighted Bessel product,
+    which stays finite where the two factors overflow pairwise.  The x -> 0
+    limit is the positive constant b/(N-1) for N >= 2 (full cancellation
+    across elements keeps density at the origin) and diverges
+    logarithmically for N = 1.
     """
+    n = params.n_elements
+    b = 1.0 / (params.rho * params.alpha * params.beta)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
-        raise ValueError("density requires x >= 0")
+        raise ValueError("snr_pdf_nocsi requires x >= 0")
     z = 2.0 * np.sqrt(b * x_arr)
     pref = 2.0 * b * math.exp(-math.lgamma(n))
     if n == 1 and np.any(np.atleast_1d(z) == 0.0):
@@ -162,29 +116,18 @@ def _bessel_density(x, n: int, b: float):
     return pref * bessel_k_weighted(n - 1, z)
 
 
-def cascade_pdf(x, params: SystemParams):
-    """Density of the zero-phase cascade gain H = |sum conj(g_n) h_n|^2."""
-    return _bessel_density(x, params.n_elements, 1.0 / (params.alpha * params.beta))
-
-
-def snr_pdf_nocsi(x, params: SystemParams):
-    """Density of the zero-phase SNR gamma = rho * H (scale rule of cascade_pdf)."""
-    dist = NoCsiDist.from_params(params)
-    return _bessel_density(x, params.n_elements, dist.b_coef)
-
-
 def snr_cdf_nocsi(x, params: SystemParams):
-    """CDF of the zero-phase SNR, 1 - (2/(N-1)!) (Bx)^(N/2) K_N(2 sqrt(Bx)).
+    """CDF of the zero-phase SNR, 1 - (2/(N-1)!) (bx)^(N/2) K_N(2 sqrt(bx)).
 
     The weighted Bessel product keeps the prefactor-Bessel pair finite for
     any N in range; exact 0 at x = 0 and monotone to 1.
     """
-    dist = NoCsiDist.from_params(params)
+    b = 1.0 / (params.rho * params.alpha * params.beta)
     n = params.n_elements
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_nocsi requires x >= 0")
-    z = 2.0 * np.sqrt(dist.b_coef * x_arr)
+    z = 2.0 * np.sqrt(b * x_arr)
     val = 1.0 - 2.0 * math.exp(-math.lgamma(n)) * bessel_k_weighted(n, z)
     if np.ndim(x) == 0:
         return float(min(max(val, 0.0), 1.0))
@@ -207,31 +150,6 @@ def gamma_match(alpha: float, beta: float) -> GammaMatch:
     shape = pi2 / (16.0 - pi2)
     scale = (16.0 - pi2) / (4.0 * math.pi) * math.sqrt(alpha * beta)
     return GammaMatch(shape=shape, scale=scale)
-
-
-def xi_pdf(x, match: GammaMatch):
-    """Gamma density of the per-element product |g||h| under the moment match."""
-    k, theta = match.shape, match.scale
-    scalar = np.ndim(x) == 0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0):
-        raise ValueError("xi_pdf requires x >= 0")
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0.0
-    out[pos] = np.exp((k - 1.0) * np.log(x_arr[pos]) - x_arr[pos] / theta
-                      - math.lgamma(k) - k * math.log(theta))
-    if np.any(~pos):
-        out[~pos] = 0.0 if k > 1.0 else (1.0 / theta if k == 1.0 else np.inf)
-    return float(out[0]) if scalar else out
-
-
-def xi_cdf(x, match: GammaMatch):
-    """Gamma CDF of the per-element product (regularized lower incomplete gamma)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("xi_cdf requires x >= 0")
-    val = reg_gamma_lower(match.shape, x_arr / match.scale)
-    return float(val) if np.ndim(x) == 0 else val
 
 
 def snr_cdf_csi(x, params: SystemParams, match: GammaMatch | None = None):
@@ -269,42 +187,3 @@ def snr_pdf_csi(x, params: SystemParams, match: GammaMatch | None = None):
     if np.any(~pos):
         out[~pos] = 0.0 if a > 2.0 else (np.inf if a < 2.0 else math.exp(log_pref))
     return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# realization geometry
-# ---------------------------------------------------------------------------
-
-def optimal_phases(realization: ChannelRealization) -> np.ndarray:
-    """Co-phasing angles -angle(g_n) - angle(h_n), wrapped to [0, 2 pi).
-
-    Zero-magnitude coefficients (possible in synthetic tests) get phase 0.
-    """
-    g, h = realization.g, realization.h
-    phases = np.mod(-np.angle(g) - np.angle(h), _TWO_PI)
-    phases[np.abs(g) * np.abs(h) == 0.0] = 0.0
-    return phases
-
-
-def realized_snr(realization: ChannelRealization, mode: str, rho: float) -> float:
-    """Instantaneous SNR of one realization.
-
-    mode 'nocsi': rho * |sum conj(g_n) h_n|^2 (identity reflection, matching
-    the receive-side conjugation of the signal model).
-    mode 'csi':   rho * (sum |g_n| |h_n|)^2 (coherent co-phasing).
-    """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
-    if mode == "nocsi":
-        s = np.sum(np.conj(realization.g) * realization.h)
-        return float(rho * np.abs(s) ** 2)
-    if mode == "csi":
-        s = np.sum(np.abs(realization.g) * np.abs(realization.h))
-        return float(rho * s ** 2)
-    raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
-
-
-def cascade_gain(realization: ChannelRealization) -> complex:
-    """Composite gain sum g_n h_n e^{j phase_n} under the stored phase vector."""
-    return complex(np.sum(realization.g * realization.h
-                          * np.exp(1j * realization.phases)))

@@ -6,10 +6,11 @@ XI ~ Gamma(N k, theta).  The closed forms below combine incomplete gammas,
 digammas and generalized hypergeometric values; everything is assembled in
 log magnitude where factors would otherwise overflow.
 
-The shape parameter makes a = N k irrational, so the sec/csc factors of the
-rate closed form stay off their poles for physical inputs; a guard distance
-still protects synthetic shape values, falling back to quadrature and
-flagging the event.
+The sec/csc factors of the rate closed form have poles at integer
+a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
+on a pole, but it comes within POLE_GUARD of one for some physical N
+(1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
+back to quadrature and flags the event.
 
 Probability outputs are clamped to [0, 1]; clamp events and pole fallbacks
 are counted on module-level thread-safe counters so sweeps can report them.
@@ -116,9 +117,9 @@ def _shape_sum(params: SystemParams, match: GammaMatch) -> float:
 # average data rate
 # ---------------------------------------------------------------------------
 
-def adr_numerical_gamma(params: SystemParams, match: GammaMatch | None = None) -> float:
+def adr_numerical_gamma(params: SystemParams) -> float:
     """Average rate by quadrature against the Gamma-model SNR density."""
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
     m, eps = params.blocklength, params.target_eps
 
     def integrand(x):
@@ -127,9 +128,9 @@ def adr_numerical_gamma(params: SystemParams, match: GammaMatch | None = None) -
     return integrate_semi_infinite(integrand)
 
 
-def shannon_gamma(params: SystemParams, match: GammaMatch | None = None) -> float:
+def shannon_gamma(params: SystemParams) -> float:
     """Average Shannon rate under the Gamma model (no blocklength penalty)."""
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
 
     def integrand(x):
         return np.log2(1.0 + x) * snr_pdf_csi(x, params, match)
@@ -137,7 +138,7 @@ def shannon_gamma(params: SystemParams, match: GammaMatch | None = None) -> floa
     return integrate_semi_infinite(integrand)
 
 
-def adr_closed_form(params: SystemParams, match: GammaMatch | None = None) -> float:
+def adr_closed_form(params: SystemParams) -> float:
     """Closed-form average rate with hypergeometric correction terms.
 
     Assembles, per unit of the density normalization 2 rho^(a/2) theta^a
@@ -153,14 +154,14 @@ def adr_closed_form(params: SystemParams, match: GammaMatch | None = None) -> fl
     Within POLE_GUARD of a sec/csc pole the closed form is abandoned for
     quadrature; the fallback is logged and counted.
     """
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
     a = _shape_sum(params, match)
     half_pi_a = 0.5 * math.pi * a
     if min(abs(math.sin(half_pi_a)), abs(math.cos(half_pi_a))) < POLE_GUARD:
         _POLE_FALLBACKS.bump()
         logger.warning(
             "closed-form rate near sec/csc pole (a=%g); falling back to quadrature", a)
-        return adr_numerical_gamma(params, match)
+        return adr_numerical_gamma(params)
 
     theta = match.scale
     rho = params.rho
@@ -181,9 +182,9 @@ def adr_closed_form(params: SystemParams, match: GammaMatch | None = None) -> fl
     return t1 + t2 + t3 + t45 - penalty
 
 
-def adr_simplified(params: SystemParams, match: GammaMatch | None = None) -> float:
+def adr_simplified(params: SystemParams) -> float:
     """Log-approximated average rate, 2(psi(a) - ln(1/(theta sqrt(rho))))/ln2 - penalty."""
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
     a = _shape_sum(params, match)
     lead = 2.0 * (digamma(a) - math.log(1.0 / (match.scale * math.sqrt(params.rho))))
     penalty = q_inv(params.target_eps) / math.sqrt(params.blocklength)
@@ -208,9 +209,9 @@ def rate_gap(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def adep_numerical(params: SystemParams, match: GammaMatch | None = None) -> float:
+def adep_numerical(params: SystemParams) -> float:
     """Average error by quadrature against the Gamma-model density."""
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
     m, d = params.blocklength, params.packet_bits
 
     def integrand(x):
@@ -219,8 +220,7 @@ def adep_numerical(params: SystemParams, match: GammaMatch | None = None) -> flo
     return _clamp_prob(integrate_semi_infinite(integrand))
 
 
-def adep_linearized(params: SystemParams, match: GammaMatch | None = None,
-                    lp: fbl.LinearizationParams | None = None) -> float:
+def adep_linearized(params: SystemParams) -> float:
     """Ramp-averaged error under the Gamma model, fully closed form.
 
     The ramp moment integral int x^(a/2) e^(-u(x)) dx has the antiderivative
@@ -232,8 +232,8 @@ def adep_linearized(params: SystemParams, match: GammaMatch | None = None,
     which is evaluated through regularized lower gammas to dodge the
     cancellation of near-equal upper gammas at high SNR.
     """
-    match = match or gamma_match(params.alpha, params.beta)
-    lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
+    match = gamma_match(params.alpha, params.beta)
+    lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     a = _shape_sum(params, match)
     theta, rho = match.scale, params.rho
     lo = max(0.0, lp.knee_lo)
@@ -281,8 +281,8 @@ def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = Non
     return 2.0 * math.exp(log_c + math.lgamma(a + 2.0) + math.log(delta_p))
 
 
-def adep_asymptotic(params: SystemParams, match: GammaMatch | None = None,
-                    form: str = "two_term", rs_convention: str = "nats") -> float:
+def adep_asymptotic(params: SystemParams, form: str = "two_term",
+                    rs_convention: str = "nats") -> float:
     """High-SNR error under the Gamma model.
 
     form='two_term' (default): both confluent hypergeometric terms of the
@@ -296,7 +296,7 @@ def adep_asymptotic(params: SystemParams, match: GammaMatch | None = None,
     kept verbatim including its empirical constant; its SNR exponent is
     exactly 1/2 - a.
     """
-    match = match or gamma_match(params.alpha, params.beta)
+    match = gamma_match(params.alpha, params.beta)
     a = _shape_sum(params, match)
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)

@@ -114,14 +114,13 @@ def _ramp_pieces(params: SystemParams, lp: fbl.LinearizationParams):
     return lo, hi, snr_cdf_nocsi(lo, params), snr_cdf_nocsi(hi, params)
 
 
-def adep_linearized(params: SystemParams,
-                    lp: fbl.LinearizationParams | None = None) -> float:
+def adep_linearized(params: SystemParams) -> float:
     """Ramp-averaged error using the exact CDF and a quadrature moment term.
 
     F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - mu * int_lo^hi x f(x) dx with the
     lower knee clamped at 0 (the plateau then carries no mass).
     """
-    lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
+    lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
     mu, x0 = lp.slope_mu, lp.center_x0
     moment = integrate_interval(lambda t: t * snr_pdf_nocsi(t, params), lo, hi)
@@ -129,8 +128,7 @@ def adep_linearized(params: SystemParams,
     return min(max(val, 0.0), 1.0)
 
 
-def adep_approx(params: SystemParams,
-                lp: fbl.LinearizationParams | None = None) -> float:
+def adep_approx(params: SystemParams) -> float:
     """Closed-form ramp error with the two-term small-argument Bessel kernel.
 
     The Bessel factor of the moment integrand is replaced by its leading
@@ -148,7 +146,7 @@ def adep_approx(params: SystemParams,
         raise DomainError(
             f"adep_approx needs n_elements >= 3 (factorials of N-2 and N-3), got {n}"
         )
-    lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
+    lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
     mu, x0 = lp.slope_mu, lp.center_x0
     rab = params.rho * params.alpha * params.beta

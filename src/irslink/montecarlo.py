@@ -13,8 +13,8 @@ regardless of batch size or how batches are distributed across workers.
 Channels follow an explicit Box-Muller transform (rejection-free, fixed
 consumption), with real/imaginary parts at half the complex variance.  The
 SNR kernel needs only each element's amplitude product |h_i||g_i| and, for
-no-CSI, its phase difference, so it works in real arithmetic; complex
-channels are formed only by sample_realization.
+no-CSI, its phase difference, so it works in real arithmetic; the complex
+channels of _channels_from_uniforms are its test reference.
 
 Memory: McConfig.batch bounds the trials of one metric evaluation (SNR and
 metric vectors of batch doubles), and the kernel draws uniforms in tiles
@@ -36,12 +36,11 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import fbl
-from .channel import ChannelRealization, SystemParams
+from .channel import SystemParams
 
 __all__ = [
     "McConfig",
     "McEstimate",
-    "sample_realization",
     "empirical_adr",
     "empirical_adep",
     "empirical_snr_cdf",
@@ -67,8 +66,9 @@ class McConfig:
     batch: int = 20_000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a standard error needs two trials
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -158,15 +158,6 @@ def _snr_block(params: SystemParams, mode: str, seed: int,
     return out
 
 
-def sample_realization(seed: int, trial_index: int, params: SystemParams) -> ChannelRealization:
-    """The trial_index-th realization of the (seed, params) stream; phases zero."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be >= 0")
-    u = _uniform_block(seed, trial_index, 1, params.n_elements)
-    h, g = _channels_from_uniforms(u, params.alpha, params.beta)
-    return ChannelRealization(h=h[0], g=g[0])
-
-
 def _per_trial_values(params: SystemParams, mode: str, mc: McConfig, fn) -> np.ndarray:
     values = np.empty(mc.trials)
     for start in range(0, mc.trials, mc.batch):
@@ -177,14 +168,19 @@ def _per_trial_values(params: SystemParams, mode: str, mc: McConfig, fn) -> np.n
 
 
 def _reduce(values: np.ndarray) -> McEstimate:
+    """Mean and standard error of at least two per-trial values.
+
+    The deviations are scaled by 2^-e, with 2^e just above their largest
+    magnitude, before they are squared, so the variance of tiny values
+    (below ~1e-154) does not underflow to 0.  The scaling is exact: where
+    the unscaled squares do not underflow the result is bit-identical.
+    """
     n = values.size
     mean = float(np.sum(values) / n)
-    if n > 1:
-        var = float(np.sum((values - mean) ** 2) / (n - 1))
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = math.inf
-    return McEstimate(mean, stderr)
+    dev = values - mean
+    _, e = math.frexp(float(np.max(np.abs(dev))))
+    var = float(np.sum(np.ldexp(dev, -e, out=dev) ** 2) / (n - 1))
+    return McEstimate(mean, math.ldexp(math.sqrt(var / n), e))
 
 
 def empirical_adr(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:

@@ -218,6 +218,9 @@ def test_exit_invalid_invocation():
     assert main(["--metric", "bogus"]) == 1
     assert main(["--metric", "adr", "--mode", "csi", "--methods", "lower_bound"]) == 1
     assert main(["--snr-step", "-2"]) == 1
+    # a standard error needs two trials
+    assert main(["--methods", "montecarlo", "--trials", "1",
+                 "--snr-start", "0", "--snr-stop", "0"]) == 1
 
 
 def test_exit_partial_failure(monkeypatch, tmp_path, capsys):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from irslink import fbl
-from irslink.numerics import q_inv
+from irslink import fbl, metrics_csi, metrics_nocsi
+from irslink.channel import SystemParams, snr_pdf_csi, snr_pdf_nocsi
+from irslink.numerics import integrate_interval, q_inv
 
 # mpmath oracle: Q(ln2 sqrt(200/0.9375) (2 - 0.5)) = Q(15.186094)
 DEEP_TAIL_ERROR = 2.1860421603259983e-52
@@ -112,6 +113,23 @@ def test_linearized_q_pieces():
     vals = fbl.linearized_q(xs, lp)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) <= 1e-15)
+
+
+@pytest.mark.parametrize("metrics,pdf", [(metrics_nocsi, snr_pdf_nocsi),
+                                         (metrics_csi, snr_pdf_csi)])
+def test_linearized_q_is_the_adep_linearized_ramp(metrics, pdf):
+    # adep_linearized averages the ramp of linearization_params(M, D)
+    # against the SNR density: plateau mass below the lower knee plus the
+    # ramp-weighted mass between the knees
+    for n in (1, 2, 20, 40):
+        for snr_db in (-10, 0, 10, 20, 30):
+            p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
+            lp = fbl.linearization_params(p.blocklength, p.packet_bits)
+            lo, hi = max(0.0, lp.knee_lo), lp.knee_hi
+            ref = (integrate_interval(lambda x: pdf(x, p), 0.0, lo)
+                   + integrate_interval(lambda x: fbl.linearized_q(x, lp) * pdf(x, p), lo, hi))
+            val = metrics.adep_linearized(p)
+            assert abs(val - ref) <= 1e-8 * ref, (n, snr_db, val, ref)
 
 
 def test_rate_penalty_strict_below_half():

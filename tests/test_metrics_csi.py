@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from irslink import fbl, metrics_csi as mc, metrics_nocsi as mn
-from irslink.channel import GammaMatch, SystemParams, gamma_match, snr_cdf_csi
+from irslink.channel import SystemParams, gamma_match, snr_cdf_csi
 from irslink.montecarlo import McConfig, empirical_adep, empirical_adr
 from irslink.numerics import integrate_interval
 
@@ -66,13 +66,13 @@ def test_adr_closed_form_median_eps_drops_penalty():
 
 
 def test_adr_closed_form_pole_fallback(caplog):
-    # synthetic shape with N k an even integer lands on the csc pole
-    match = GammaMatch(shape=1.6, scale=0.48784138133771443)  # a = 32 at N=20
+    # a = N k comes within POLE_GUARD of the integer 2072 at N = 1287
+    p = SystemParams(n_elements=1287, rho=1.0)
     with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-        val = mc.adr_closed_form(P20, match)
+        val = mc.adr_closed_form(p)
     assert mc.pole_fallback_count() == 1
     assert any("pole" in rec.message for rec in caplog.records)
-    assert abs(val - mc.adr_numerical_gamma(P20, match)) < 1e-12
+    assert val == mc.adr_numerical_gamma(p)
 
 
 def test_adr_simplified_reference():
@@ -176,11 +176,12 @@ def test_adep_linearized_worse_at_n40():
     assert dev40 > dev20
 
 
-def test_adep_linearized_step_limit():
+def test_adep_linearized_step_limit(monkeypatch):
     p = _at(P20, rho=0.01)
     x0 = 2.0 ** 0.5 - 1.0
     lp = fbl.LinearizationParams(slope_mu=1e9, center_x0=x0)
-    val = mc.adep_linearized(p, lp=lp)
+    monkeypatch.setattr(fbl, "linearization_params", lambda m, d: lp)
+    val = mc.adep_linearized(p)
     ref = snr_cdf_csi(x0, p)
     assert abs(val - ref) <= 1e-4 * ref
 

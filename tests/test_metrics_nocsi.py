@@ -137,13 +137,14 @@ def test_adep_approx_domain_error_small_n():
         mn.adep_approx(SystemParams(n_elements=2, rho=10.0))
 
 
-def test_adep_linearized_step_limit():
+def test_adep_linearized_step_limit(monkeypatch):
     # mu -> infinity collapses the ramp onto the CDF at the center; probed at
     # mu = 1e5 where CDF differencing across the ramp still has full precision
     p = _at(P20, rho=100.0)
     x0 = 2.0 ** 0.5 - 1.0
     lp = fbl.LinearizationParams(slope_mu=1e5, center_x0=x0)
-    val = mn.adep_linearized(p, lp=lp)
+    monkeypatch.setattr(fbl, "linearization_params", lambda m, d: lp)
+    val = mn.adep_linearized(p)
     assert abs(val - snr_cdf_nocsi(x0, p)) <= 1e-4 * snr_cdf_nocsi(x0, p)
 
 

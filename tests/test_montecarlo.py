@@ -17,6 +17,8 @@ P20 = SystemParams(n_elements=20, rho=1.0)
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(trials=0)
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        McConfig(trials=1)
     with pytest.raises(ValueError):
         McConfig(batch=0)
     with pytest.raises(ValueError):
@@ -63,21 +65,14 @@ def test_kernel_matches_complex_reference(n):
     assert np.all(np.abs(nocsi - nocsi_ref) <= 1e-14 * csi_ref)
 
 
-def test_sample_realization_determinism():
-    a = mo.sample_realization(9, 17, P20)
-    b = mo.sample_realization(9, 17, P20)
-    assert np.array_equal(a.h, b.h) and np.array_equal(a.g, b.g)
-    c = mo.sample_realization(9, 18, P20)
-    assert not np.array_equal(a.h, c.h)
-    assert np.all(a.phases == 0.0)
-
-
-def test_sample_realization_matches_batch_stream():
-    # realization i equals row i of any batch covering it
-    u = mo._uniform_block(9, 15, 4, 20)
-    h, g = mo._channels_from_uniforms(u, 1.0, 1.0)
-    r = mo.sample_realization(9, 17, P20)
-    assert np.array_equal(r.h, h[2]) and np.array_equal(r.g, g[2])
+def test_uniform_block_row_addressing():
+    # trial i's uniforms depend only on (seed, i): any block covering it
+    # holds them in row i - start
+    row = mo._uniform_block(9, 17, 1, 20)
+    assert np.array_equal(row, mo._uniform_block(9, 17, 1, 20))
+    assert np.array_equal(row[0], mo._uniform_block(9, 15, 4, 20)[2])
+    assert not np.array_equal(row, mo._uniform_block(9, 18, 1, 20))
+    assert not np.array_equal(row, mo._uniform_block(10, 17, 1, 20))
 
 
 def test_sampler_moments():
@@ -134,6 +129,14 @@ def test_empirical_snr_cdf_contract():
     assert np.max(np.abs(emp_c - snr_cdf_csi(grid, P20))) < 0.02
     with pytest.raises(ValueError):
         mo.empirical_snr_cdf(P20, "nocsi", mcfg, grid[::-1])
+
+
+def test_reduce_stderr_of_tiny_values():
+    # squaring deviations of ~1e-180 would underflow to a zero variance
+    v = np.random.default_rng(4).random(1_000)
+    ref, tiny = mo._reduce(v), mo._reduce(1e-180 * v)
+    assert abs(tiny.stderr - 1e-180 * ref.stderr) <= 1e-15 * 1e-180 * ref.stderr
+    assert abs(tiny.value - 1e-180 * ref.value) <= 1e-15 * 1e-180 * ref.value
 
 
 def test_stderr_scaling():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from irslink import fbl, numerics as nx
-from irslink.channel import ChannelRealization, optimal_phases, realized_snr
+from irslink import fbl, montecarlo as mo, numerics as nx
+from irslink.channel import SystemParams
 
 COMMON = settings(max_examples=60, deadline=None)
 
@@ -43,16 +43,14 @@ def test_linearized_q_shape(m, d):
 
 
 @COMMON
-@given(st.integers(min_value=1, max_value=2 ** 32), st.integers(min_value=2, max_value=24))
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.integers(min_value=1, max_value=24))
 def test_csi_dominates_property(seed, n):
-    rng = np.random.default_rng(seed)
-    r = ChannelRealization(h=rng.normal(size=n) + 1j * rng.normal(size=n),
-                           g=rng.normal(size=n) + 1j * rng.normal(size=n))
-    csi = realized_snr(r, "csi", 1.0)
-    nocsi = realized_snr(r, "nocsi", 1.0)
-    assert csi >= nocsi * (1.0 - 1e-12)
-    phases = optimal_phases(r)
-    assert np.all((phases >= 0.0) & (phases < 2.0 * math.pi))
+    # co-phasing never loses to zero phases on the same draw (1e-12 relative
+    # slack covers float noise in the N=1 equality case)
+    p = SystemParams(n_elements=n, alpha=0.7, beta=2.3, rho=1.0)
+    csi = mo._snr_block(p, "csi", seed, 0, 64)
+    nocsi = mo._snr_block(p, "nocsi", seed, 0, 64)
+    assert np.all(csi >= nocsi * (1.0 - 1e-12))
 
 
 @COMMON
