@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
-from irslink import numerics as nx
+from irslink import montecarlo as mo, numerics as nx
 from irslink.channel import (
     GammaMatch,
     SystemParams,
@@ -42,6 +43,22 @@ def test_system_params_validation():
         SystemParams(n_elements=4, packet_bits=0.0)
 
 
+def test_nocsi_dist_coefficients():
+    # the no-CSI law is A x^((N-1)/2) K_{N-1}(2 sqrt(b x)) with
+    # A = 2/(Gamma(N) (rho alpha beta)^((N+1)/2)) and b = 1/(rho alpha beta)
+    for n, rho, alpha, beta in [(5, 2.0, 1.0, 1.0), (20, 100.0, 0.5, 2.5), (40, 1.0, 1.0, 1.0)]:
+        p = SystemParams(n_elements=n, rho=rho, alpha=alpha, beta=beta)
+        rab = rho * alpha * beta
+        a_coef = 2.0 / (math.gamma(n) * math.sqrt(rab) ** (n + 1))
+        b_coef = 1.0 / rab
+        for x in (0.3 * n * rab, n * rab, 2.0 * n * rab):
+            z = 2.0 * math.sqrt(b_coef * x)
+            pdf = a_coef * x ** ((n - 1) / 2) * sc.kv(n - 1, z)
+            cdf = 1.0 - 2.0 / math.gamma(n) * (b_coef * x) ** (n / 2) * sc.kv(n, z)
+            assert abs(snr_pdf_nocsi(x, p) - pdf) <= 1e-12 * pdf
+            assert abs(snr_cdf_nocsi(x, p) - cdf) <= 1e-12
+
+
 def test_gamma_match_values():
     m = gamma_match(1.0, 1.0)
     pi2 = math.pi ** 2
@@ -71,7 +88,7 @@ def test_gamma_match_validation():
 # no-CSI density/CDF
 # ---------------------------------------------------------------------------
 
-def test_snr_pdf_nocsi_unit_rho_normalization_and_mean():
+def test_cascade_pdf_normalization_and_mean():
     # at rho = 1 the SNR is the cascade gain |sum conj(g_n) h_n|^2, mean N
     p = SystemParams(n_elements=10, rho=1.0)
     total = nx.integrate_semi_infinite(lambda x: snr_pdf_nocsi(x, p))
@@ -92,7 +109,7 @@ def test_cascade_mean_against_monte_carlo():
     assert abs(gains.mean() - 10.0) < 3.0 * se
 
 
-def test_snr_pdf_nocsi_origin_limit():
+def test_cascade_pdf_origin_limit():
     # density tends to 1/((N-1) rho alpha beta) at the origin, not zero: full
     # cross-element cancellation keeps probability mass near zero gain
     for n in (2, 3, 10):
@@ -149,6 +166,23 @@ def test_snr_cdf_monotone_in_range():
 # CSI Gamma-model density/CDF
 # ---------------------------------------------------------------------------
 
+def test_xi_pdf_normalization():
+    # at N = 1 and rho = 1 the CSI SNR is xi^2 for one matched Gamma xi, so
+    # xi has density 2t f(t^2)
+    p = SystemParams(n_elements=1, rho=1.0)
+    total = nx.integrate_semi_infinite(lambda t: 2.0 * t * snr_pdf_csi(t * t, p))
+    assert abs(total - 1.0) < 1e-9
+
+
+def test_xi_cdf_endpoints():
+    p = SystemParams(n_elements=1, rho=1.0)
+    assert snr_cdf_csi(0.0, p) == 0.0
+    assert abs(snr_cdf_csi(1e3 ** 2, p) - 1.0) < 1e-12
+    m = gamma_match(1.0, 1.0)
+    for t in (0.1, 1.0, 3.0):
+        assert snr_cdf_csi(t * t, p) == nx.reg_gamma_lower(m.shape, t / m.scale)
+
+
 def test_xi_gamma_fit_ks_distance():
     # the moment-matched Gamma is approximate; its KS distance to the true
     # per-element product law stays below 0.03
@@ -196,3 +230,71 @@ def test_snr_csi_gamma_fit_ks_distance():
     emp = np.searchsorted(snr, grid, side="right") / count
     ks = np.max(np.abs(emp - snr_cdf_csi(grid, p)))
     assert ks < 0.02
+
+
+# ---------------------------------------------------------------------------
+# realizations: the Monte-Carlo kernel's per-trial SNR
+# ---------------------------------------------------------------------------
+
+# amplitude uniform of a unit-magnitude hop at alpha = beta = 1
+_UNIT = -math.expm1(-1.0)
+
+
+def _realized_snr(monkeypatch, mode, rho, amp_h, ph_h, amp_g, ph_g):
+    """Kernel SNR of one trial whose uniforms are given per element."""
+    row = np.concatenate([amp_h, ph_h, amp_g, ph_g])[None, :]
+    monkeypatch.setattr(mo, "_uniform_block", lambda *args: row.copy())
+    p = SystemParams(n_elements=len(amp_h), rho=rho)
+    return float(mo._snr_block(p, mode, 0, 0, 1)[0])
+
+
+def test_realized_snr_examples(monkeypatch):
+    one = ([_UNIT], [0.0], [_UNIT], [0.0])
+    assert abs(_realized_snr(monkeypatch, "nocsi", 2.0, *one) - 2.0) <= 1e-14
+    assert abs(_realized_snr(monkeypatch, "csi", 2.0, *one) - 2.0) <= 1e-14
+    # conj(g) h = +1 and -1 on the two elements: full cancellation without CSI
+    two = ([_UNIT, _UNIT], [0.0, 0.5], [_UNIT, _UNIT], [0.0, 0.0])
+    assert _realized_snr(monkeypatch, "nocsi", 1.0, *two) <= 1e-14
+    assert abs(_realized_snr(monkeypatch, "csi", 1.0, *two) - 4.0) <= 1e-14
+    with pytest.raises(ValueError):
+        _realized_snr(monkeypatch, "bogus", 1.0, *one)
+
+
+def test_optimal_phases_angle_arithmetic(monkeypatch):
+    # h at pi/6 and g at pi/3 give conj(g) h at -pi/6, the angle co-phasing
+    # undoes; against a zero-phase element the no-CSI SNR is |e^(-j pi/6) + 1|^2
+    uniforms = ([_UNIT, _UNIT], [1.0 / 12.0, 0.0], [_UNIT, _UNIT], [1.0 / 6.0, 0.0])
+    h, g = mo._channels_from_uniforms(np.concatenate(uniforms)[None, :], 1.0, 1.0)
+    assert abs(np.angle(np.conj(g[0, 0]) * h[0, 0]) + math.pi / 6.0) < 1e-12
+    nocsi = _realized_snr(monkeypatch, "nocsi", 1.0, *uniforms)
+    assert abs(nocsi - (2.0 + math.sqrt(3.0))) <= 1e-14
+    assert abs(_realized_snr(monkeypatch, "csi", 1.0, *uniforms) - 4.0) <= 1e-14
+
+
+def test_optimal_phases_zero_magnitude_convention(monkeypatch):
+    # a zero-magnitude element has no defined phase and adds nothing, even at
+    # the tangent pole D = pi of the no-CSI kernel
+    uniforms = ([0.0, _UNIT], [0.5, 0.3], [_UNIT, _UNIT], [0.0, 0.1])
+    for mode in ("csi", "nocsi"):
+        snr = _realized_snr(monkeypatch, mode, 3.0, *uniforms)
+        assert abs(snr - 3.0) <= 1e-14 * 3.0
+
+
+def test_csi_dominates_nocsi_random():
+    for n in (2, 5, 20):
+        p = SystemParams(n_elements=n, rho=1.0)
+        csi = mo._snr_block(p, "csi", 5, 0, 200)
+        nocsi = mo._snr_block(p, "nocsi", 5, 0, 200)
+        assert np.all(csi >= nocsi * (1.0 - 1e-12))
+
+
+def test_cophasing_achieves_csi_snr():
+    # rotating each element by -arg(conj(g_n) h_n) makes the zero-phase sum
+    # reach the CSI SNR (sum |g_n||h_n|)^2
+    n = 12
+    p = SystemParams(n_elements=n, rho=1.0)
+    h, g = mo._channels_from_uniforms(mo._uniform_block(6, 0, 1, n), 1.0, 1.0)
+    terms = np.conj(g[0]) * h[0]
+    gain = np.sum(terms * np.exp(-1j * np.angle(terms)))
+    csi = mo._snr_block(p, "csi", 6, 0, 1)[0]
+    assert abs(abs(gain) ** 2 - csi) <= 1e-12 * csi

@@ -65,14 +65,19 @@ def test_kernel_matches_complex_reference(n):
     assert np.all(np.abs(nocsi - nocsi_ref) <= 1e-14 * csi_ref)
 
 
-def test_uniform_block_row_addressing():
-    # trial i's uniforms depend only on (seed, i): any block covering it
-    # holds them in row i - start
+def test_sample_realization_determinism():
+    # trial i's uniforms, and so its channels, depend only on (seed, i)
     row = mo._uniform_block(9, 17, 1, 20)
     assert np.array_equal(row, mo._uniform_block(9, 17, 1, 20))
-    assert np.array_equal(row[0], mo._uniform_block(9, 15, 4, 20)[2])
     assert not np.array_equal(row, mo._uniform_block(9, 18, 1, 20))
     assert not np.array_equal(row, mo._uniform_block(10, 17, 1, 20))
+
+
+def test_sample_realization_matches_batch_stream():
+    # realization i equals row i - start of any batch covering it
+    h, g = mo._channels_from_uniforms(mo._uniform_block(9, 15, 4, 20), 1.0, 1.0)
+    h1, g1 = mo._channels_from_uniforms(mo._uniform_block(9, 17, 1, 20), 1.0, 1.0)
+    assert np.array_equal(h1[0], h[2]) and np.array_equal(g1[0], g[2])
 
 
 def test_sampler_moments():
