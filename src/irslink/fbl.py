@@ -9,6 +9,12 @@ and the matching decoding error for a D-bit packet is
 
     eps = Q( sqrt(M/V(gamma)) * (ln(1 + gamma) - D ln2 / M) ).
 
+The Q argument w(gamma) rises strictly from -inf to +inf, so with T a
+standard normal, eps(gamma) = P(T > w(gamma)) and the average error over
+any SNR law with CDF F is E_T[F(x(T))], x = w^-1.  error_rule tabulates
+x(t_i) and the normal weights once per (M, D); an average error then costs
+one vectorized CDF call.
+
 Two rate conventions float around the asymptotic error formulas: the exact
 Q argument above uses D ln2 / M nats per use ("nats", the default here),
 while some relaxed derivations read D/M as if it were already in nats
@@ -24,13 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import q_func, q_inv
+from .numerics import gauss_legendre_panels, q_func, q_inv
 
 __all__ = [
     "LinearizationParams",
     "dispersion",
     "achievable_rate",
     "decode_error_prob",
+    "error_rule",
+    "average_error",
     "linearization_params",
     "linearized_q",
     "packet_rate",
@@ -125,6 +133,76 @@ def decode_error_prob(gamma, blocklength: int, bits: float):
     arg = np.sqrt(blocklength / dispersion(gp)) * (np.log1p(gp) - bits * _LN2 / blocklength)
     out[pos] = q_func(arg)
     return float(out[0]) if scalar else out
+
+
+# The rule spans t in [-8, 38].  The integrand phi(t) F(x(t)) rises on t < 0
+# (F increases), so the part below -8 is at most 2 Q(8) ~ 1e-15 of the total;
+# the part above 38 is at most Q(38) < 1e-315, below any value >= 1e-300
+# that matters.  Its peak can sit anywhere in [0, 38] (steep CSI laws) with
+# width <= 1, which panels of unit width resolve.  Near t = 0, x(t) turns
+# over on the scale tau = sqrt(D ln2 / 2) (its inverse has branch points at
+# t = +-2i tau), so for payloads below ~3 bits the panels are also split at
+# +-tau 2^j up to 1.
+_ERROR_RULE_EDGES = np.arange(-8.0, 38.5, 1.0)
+_ERROR_RULE_ORDER = 8
+
+
+def _q_argument_inverse(t: np.ndarray, blocklength: int, bits: float) -> np.ndarray:
+    """x >= 0 with sqrt(M/V(x)) (ln(1+x) - D ln2/M) = t, by bisection in ln ln(1+x)."""
+    c = bits * _LN2 / blocklength
+    root_m = math.sqrt(blocklength)
+
+    def arg(log_u):
+        u = np.exp(log_u)
+        return root_m * (u - c) / np.sqrt(-np.expm1(-2.0 * u))
+
+    lo = np.full_like(t, math.log(1e-300))
+    hi = np.full_like(t, math.log(c + np.max(np.abs(t)) / root_m + 1.0))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = arg(mid) > t
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.expm1(np.exp(0.5 * (lo + hi)))
+
+
+@functools.lru_cache(maxsize=16)
+def error_rule(blocklength: int, bits: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i and weights w_i with E[eps(X)] ~= sum_i w_i F(x_i).
+
+    eps is decode_error_prob(., M, D) and F the CDF of the SNR X, whatever
+    its law: by parts in the Q argument, E[eps(X)] = E_T[F(x(T))] with T
+    standard normal.  Gauss-Legendre nodes t_i (8 per unit of t on
+    [-8, 38], plus panels graded toward t = 0 for payloads under ~3 bits)
+    are mapped through x(t) = w^-1(t) and weighted by phi(t_i); nodes
+    whose weight underflows are dropped.  Built on first use per (M, D),
+    cached and read-only.
+    """
+    if blocklength < 1:
+        raise ValueError("blocklength must be >= 1")
+    if not bits > 0.0:
+        raise ValueError("bits must be > 0")
+    tau = math.sqrt(0.5 * bits * _LN2)
+    fine = tau * 2.0 ** np.arange(max(0, math.ceil(-math.log2(tau))))
+    edges = np.union1d(_ERROR_RULE_EDGES, np.concatenate([-fine, fine]))
+    t, w = gauss_legendre_panels(edges, _ERROR_RULE_ORDER)
+    w = w * np.exp(-0.5 * t * t) / math.sqrt(_TWO_PI)
+    keep = w > 0.0
+    x = _q_argument_inverse(t[keep], blocklength, bits)
+    w = w[keep]
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def average_error(cdf, blocklength: int, bits: float) -> float:
+    """E[decode_error_prob(X, M, D)] for an SNR X with CDF cdf (unclamped).
+
+    cdf must accept an ndarray; it is called once, on the nodes of
+    error_rule(M, D).
+    """
+    x, w = error_rule(blocklength, bits)
+    return float(np.dot(w, cdf(x)))
 
 
 def linearization_params(blocklength: int, bits: float) -> LinearizationParams:

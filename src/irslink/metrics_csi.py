@@ -2,15 +2,20 @@
 
 All CSI-side statistics run through the Gamma moment match of the element
 product |g||h|: the co-phased SNR is modeled as rho * XI^2 with
-XI ~ Gamma(N k, theta).  The closed forms below combine incomplete gammas,
-digammas and generalized hypergeometric values; everything is assembled in
-log magnitude where factors would otherwise overflow.
+XI ~ Gamma(N k, theta).  The "numerical" rate and error average the exact
+rate or error curve over that law on the fixed rules shared with the
+no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
+ADEP).  The closed forms below combine incomplete gammas, digammas and
+generalized hypergeometric values; everything is assembled in log
+magnitude where factors would otherwise overflow.
 
 The sec/csc factors of the rate closed form have poles at integer
 a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
 on a pole, but it comes within POLE_GUARD of one for some physical N
 (1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
-back to quadrature and flags the event.
+back to the numerical rate and flags the event.  It falls back the same
+way at low SNR, where cancellation in and among its pFq terms costs more
+than DIGITS_LOST_MAX of the 16 digits (about -18 dB and below).
 
 Probability outputs are clamped to [0, 1]; clamp events and pole fallbacks
 are counted on module-level thread-safe counters so sweeps can report them.
@@ -29,14 +34,13 @@ from .channel import (
     GammaMatch,
     SystemParams,
     gamma_match,
+    snr_average,
     snr_cdf_csi,
-    snr_pdf_csi,
 )
 from .numerics import (
     EULER_GAMMA,
     digamma,
     hyp_pfq,
-    integrate_semi_infinite,
     q_inv,
     reg_gamma_lower,
     reg_gamma_upper,
@@ -60,6 +64,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 POLE_GUARD = 1e-3
+DIGITS_LOST_MAX = 8.0
 
 logger = logging.getLogger(__name__)
 
@@ -118,24 +123,14 @@ def _shape_sum(params: SystemParams, match: GammaMatch) -> float:
 # ---------------------------------------------------------------------------
 
 def adr_numerical_gamma(params: SystemParams) -> float:
-    """Average rate by quadrature against the Gamma-model SNR density."""
-    match = gamma_match(params.alpha, params.beta)
+    """Average rate: the short-packet rate averaged over the Gamma-model SNR law."""
     m, eps = params.blocklength, params.target_eps
-
-    def integrand(x):
-        return fbl.achievable_rate(x, m, eps) * snr_pdf_csi(x, params, match)
-
-    return integrate_semi_infinite(integrand)
+    return snr_average(lambda x: fbl.achievable_rate(x, m, eps), params, "csi")
 
 
 def shannon_gamma(params: SystemParams) -> float:
     """Average Shannon rate under the Gamma model (no blocklength penalty)."""
-    match = gamma_match(params.alpha, params.beta)
-
-    def integrand(x):
-        return np.log2(1.0 + x) * snr_pdf_csi(x, params, match)
-
-    return integrate_semi_infinite(integrand)
+    return snr_average(lambda x: np.log2(1.0 + x), params, "csi")
 
 
 def adr_closed_form(params: SystemParams) -> float:
@@ -152,7 +147,11 @@ def adr_closed_form(params: SystemParams) -> float:
 
     with z = -1/(4 rho theta^2) and s1, s2 the log-domain scale factors.
     Within POLE_GUARD of a sec/csc pole the closed form is abandoned for
-    quadrature; the fallback is logged and counted.
+    adr_numerical_gamma; the fallback is logged and counted.  At low SNR the
+    alternating series cancel (hyp_pfq reports max|term| / |sum|) and so do
+    the large terms t1..t3 among themselves; where the two together cost
+    more than DIGITS_LOST_MAX of the 16 digits it falls back the same way,
+    logged.
     """
     match = gamma_match(params.alpha, params.beta)
     a = _shape_sum(params, match)
@@ -167,9 +166,11 @@ def adr_closed_form(params: SystemParams) -> float:
     rho = params.rho
     z = -0.25 / (rho * theta * theta)
 
-    f23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z)
-    f12_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z)
-    f12_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z)
+    f23, c23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z,
+                       with_cancellation=True)
+    f12_sec, c_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z,
+                             with_cancellation=True)
+    f12_csc, c_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z, with_cancellation=True)
 
     t1 = f23 / (_LN2 * (a - 1.0) * (a - 2.0) * rho * theta * theta)
     log_s1 = -(0.5 * (a + 1.0) * math.log(rho) + (a + 1.0) * math.log(theta)
@@ -179,7 +180,17 @@ def adr_closed_form(params: SystemParams) -> float:
     t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
     t45 = 2.0 * (digamma(a) - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
     penalty = q_inv(params.target_eps) / (math.sqrt(params.blocklength) * _LN2)
-    return t1 + t2 + t3 + t45 - penalty
+    val = t1 + t2 + t3 + t45 - penalty
+    # rounding of each series is amplified by its own cancellation and then
+    # by the cancellation among the terms
+    spread = abs(t1) * c23 + abs(t2) * c_sec + abs(t3) * c_csc + abs(t45) + penalty
+    lost = math.log10(spread / abs(val)) if val != 0.0 else math.inf
+    if lost > DIGITS_LOST_MAX:
+        logger.warning(
+            "closed-form rate loses %.1f of 16 digits to cancellation (a=%g, z=%g); "
+            "falling back to quadrature", lost, a, z)
+        return adr_numerical_gamma(params)
+    return val
 
 
 def adr_simplified(params: SystemParams) -> float:
@@ -210,14 +221,10 @@ def rate_gap(params: SystemParams) -> float:
 # ---------------------------------------------------------------------------
 
 def adep_numerical(params: SystemParams) -> float:
-    """Average error by quadrature against the Gamma-model density."""
+    """Average error: the error curve averaged by parts against the Gamma-model CDF."""
     match = gamma_match(params.alpha, params.beta)
-    m, d = params.blocklength, params.packet_bits
-
-    def integrand(x):
-        return fbl.decode_error_prob(x, m, d) * snr_pdf_csi(x, params, match)
-
-    return _clamp_prob(integrate_semi_infinite(integrand))
+    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_csi(x, params, match),
+                                         params.blocklength, params.packet_bits))
 
 
 def adep_linearized(params: SystemParams) -> float:

@@ -1,4 +1,4 @@
-"""Special-function kernel and adaptive quadrature engine.
+"""Special-function kernel, fixed Gauss-Legendre rules and adaptive quadrature.
 
 Everything downstream (channel distributions, rate/error metrics) funnels
 through this module, so the contracts here are deliberately strict:
@@ -6,14 +6,18 @@ through this module, so the contracts here are deliberately strict:
   - the standard special functions the link metrics need (digamma,
     regularized incomplete gammas, the Gaussian tail Q and its inverse)
     come from the mature scipy implementations;
-  - the generalized hypergeometric pFq and the semi-infinite quadrature
-    engine are implemented here because the required error semantics
-    (term-ratio stopping, tolerance failures carrying best estimates,
-    deterministic subdivision) are part of the contract;
+  - the generalized hypergeometric pFq is summed here so that it can
+    report how many digits its alternating terms cancel;
   - the modified Bessel K is exposed only as the weighted product
     (z/2)^n * K_n(z): the bare factors overflow/underflow pairwise for
     large n, while the product stays moderate.  All density/CDF code
-    routes through it.
+    routes through it, and it raises OverflowError where even the product
+    leaves double range;
+  - the metric integrals run on fixed composite Gauss-Legendre rules
+    (gauss_legendre_panels) built once per rho-free configuration; the
+    adaptive Gauss-Kronrod engine (integrate_interval,
+    integrate_semi_infinite) remains for the ramp moment integral and as
+    the tight reference in tests.
 
 All functions are pure and thread-safe; array inputs are supported where
 noted.  Angles, tolerances and counts are plain floats/ints.
@@ -41,6 +45,7 @@ __all__ = [
     "q_func",
     "q_inv",
     "hyp_pfq",
+    "gauss_legendre_panels",
     "integrate_semi_infinite",
     "integrate_interval",
 ]
@@ -145,12 +150,55 @@ def _bessel_k_weighted_series(n: int, z: np.ndarray) -> np.ndarray:
     return total
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _raise_overflow(n: int, z: float):
+    raise OverflowError(
+        f"(z/2)^n K_n(z) at n={n}, z={float(z)!r} overflows double range")
+
+
+def _product_from_kve(n: int, z: np.ndarray, kve: np.ndarray) -> np.ndarray:
+    log_vals = n * np.log(0.5 * z) + np.log(kve) - z
+    if log_vals.size and log_vals.max() > _LOG_FLOAT_MAX:
+        _raise_overflow(n, z[log_vals.argmax()])
+    return np.exp(log_vals)
+
+
+def _bessel_k_weighted_positive(n: int, z: np.ndarray) -> np.ndarray:
+    """(z/2)^n K_n(z) for z > 0, from scipy's scaled kve where it is finite."""
+    with np.errstate(over="ignore"):
+        kve = sc.kve(n, z)
+    finite = np.isfinite(kve)
+    if finite.all():
+        return _product_from_kve(n, z, kve)
+    vals = np.empty_like(z)
+    if finite.any():
+        vals[finite] = _product_from_kve(n, z[finite], kve[finite])
+    overflow = np.isinf(kve)
+    if np.any(overflow & (z >= 2.0)) or (overflow.any() and math.lgamma(n) > _LOG_FLOAT_MAX):
+        _raise_overflow(n, z[overflow][-1])
+    if overflow.any():
+        # kve overflow at z < 2: only happens for tiny z with large n
+        vals[overflow] = _bessel_k_weighted_series(n, z[overflow])
+    huge = np.isnan(kve)
+    if huge.any():
+        # beyond the library's argument range (z > ~1e9); the e^-z factor
+        # drives the product to zero, so the leading asymptotic suffices
+        zh = z[huge]
+        vals[huge] = np.exp(n * np.log(0.5 * zh) + 0.5 * np.log(np.pi / (2.0 * zh)) - zh)
+    return vals
+
+
 def bessel_k_weighted(n: int, z) -> np.ndarray | float:
     """(z/2)^n * K_n(z) for integer n >= 0, z >= 0 (z > 0 when n = 0).
 
     The product stays O(Gamma(n)) for small z where K_n alone overflows,
     and decays like e^-z for large z.  At z = 0 the limit Gamma(n)/2 is
-    returned for n >= 1.
+    returned for n >= 1.  Past scipy's argument range (z > ~1e9) the
+    leading large-z asymptote is used.  Raises OverflowError, without a
+    RuntimeWarning, where the product leaves double range or scipy's kve
+    overflows at z >= 2 (large n).
     """
     if n < 0 or n != int(n):
         raise DomainError(f"bessel_k_weighted requires integer n >= 0, got {n}")
@@ -161,32 +209,13 @@ def bessel_k_weighted(n: int, z) -> np.ndarray | float:
     if np.any(z_arr < 0.0) or (n == 0 and np.any(z_arr == 0.0)):
         raise DomainError("bessel_k_weighted requires z >= 0 (z > 0 for n = 0)")
 
-    out = np.empty_like(z_arr)
     zero = z_arr == 0.0
-    if np.any(zero):
-        out[zero] = 0.5 * math.exp(math.lgamma(n))
-    pos = ~zero
-    if np.any(pos):
-        zp = z_arr[pos]
-        with np.errstate(over="ignore"):
-            kve = sc.kve(n, zp)
-        vals = np.empty_like(zp)
-        finite = np.isfinite(kve)
-        if np.any(finite):
-            zf = zp[finite]
-            vals[finite] = np.exp(n * np.log(0.5 * zf) + np.log(kve[finite]) - zf)
-        small = ~finite & (zp < 2.0)
-        if np.any(small):
-            # kve overflow: only happens for tiny z with large n
-            vals[small] = _bessel_k_weighted_series(n, zp[small])
-        large = ~finite & (zp >= 2.0)
-        if np.any(large):
-            # beyond the library's argument range (z ~ 1e9); the e^-z factor
-            # drives the product to zero, so the leading asymptotic suffices
-            zl = zp[large]
-            vals[large] = np.exp(n * np.log(0.5 * zl)
-                                 + 0.5 * np.log(np.pi / (2.0 * zl)) - zl)
-        out[pos] = vals
+    if not zero.any():
+        out = _bessel_k_weighted_positive(n, z_arr)
+    else:
+        out = np.full_like(z_arr, 0.5 * math.exp(math.lgamma(n)))
+        if not zero.all():
+            out[~zero] = _bessel_k_weighted_positive(n, z_arr[~zero])
     return float(out[0]) if scalar else out
 
 
@@ -221,44 +250,96 @@ def q_inv(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def hyp_pfq(a_list, b_list, z: float, rel_tol: float = 1e-15,
-            max_terms: int = 10 ** 6) -> float:
+            max_terms: int = 10 ** 6, *, with_cancellation: bool = False):
     """Generalized hypergeometric pFq(a_list; b_list; z) by term-ratio summation.
 
     term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)
 
     Stops once |term| / |partial sum| < rel_tol for two consecutive terms
     (a single small term can be an accidental sign-change zero).
+
+    with_cancellation=True returns (value, max|term| / |sum|): the sum
+    keeps about 16 - log10 of that ratio significant digits.
     """
     a = [float(v) for v in a_list]
     b = [float(v) for v in b_list]
     for bj in b:
         if bj <= 0.0 and bj == int(bj):
             raise DomainError(f"pFq pole: b parameter {bj} is a nonpositive integer")
-    if z == 0.0:
-        return 1.0
     total = 1.0
-    term = 1.0
-    small_streak = 0
-    for k in range(max_terms):
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = 1.0
-        for bj in b:
-            den *= bj + k
-        term *= num / den * z / (k + 1.0)
-        total += term
-        if term == 0.0:
-            return total
-        if abs(term) < rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
+    largest = 1.0
+    if z != 0.0:
+        term = 1.0
+        small_streak = 0
+        for k in range(max_terms):
+            num = 1.0
+            for ai in a:
+                num *= ai + k
+            den = 1.0
+            for bj in b:
+                den *= bj + k
+            term *= num / den * z / (k + 1.0)
+            total += term
+            mag = abs(term)
+            if mag > largest:
+                largest = mag
+            if mag < rel_tol * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+                if term == 0.0:
+                    break
         else:
-            small_streak = 0
-    raise NonConvergenceError(
-        f"pFq({a_list}; {b_list}; {z}) did not converge within {max_terms} terms"
-    )
+            raise NonConvergenceError(
+                f"pFq({a_list}; {b_list}; {z}) did not converge within {max_terms} terms"
+            )
+    if not with_cancellation:
+        return total
+    return total, (largest / abs(total) if total != 0.0 else math.inf)
+
+
+# ---------------------------------------------------------------------------
+# fixed composite Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the order-point rule on [-1, 1].
+
+    Newton iteration on P_order from the Tricomi starting values; no linear
+    algebra, so no LAPACK workspace is mapped in.
+    """
+    k = np.arange(order, 0, -1)
+    x = np.cos(np.pi * (k - 0.25) / (order + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, order + 1):
+            p_prev, p = p, ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j
+        slope = order * (x * p - p_prev) / (x * x - 1.0)
+        step = p / slope
+        x -= step
+        if np.max(np.abs(step)) < 1e-16:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def gauss_legendre_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an order-point Gauss-Legendre rule on each panel.
+
+    edges is an increasing sequence of panel boundaries; the result
+    integrates sum(w * f(x)) over [edges[0], edges[-1]], exactly for
+    polynomials of degree 2 * order - 1 on every panel.  Nodes ascend.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+        raise DomainError("gauss_legendre_panels requires increasing panel edges")
+    if order < 1:
+        raise DomainError(f"gauss_legendre_panels requires order >= 1, got {order}")
+    x, w = _gauss_legendre(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,28 @@ def test_adr_closed_form_pole_fallback(caplog):
     assert val == mc.adr_numerical_gamma(p)
 
 
+def test_adr_closed_form_cancellation_fallback(caplog):
+    # z = -1/(4 rho theta^2) grows at low SNR: the alternating pFq series and
+    # the terms they feed cancel, and the printed form gave -2.2e34, 8.2e13
+    # and 1.43 (against 1.24) at N = 20
+    for snr_db in (-30.0, -25.0, -20.0):
+        p = _at(P20, rho=10.0 ** (snr_db / 10.0))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+            val = mc.adr_closed_form(p)
+        assert val == mc.adr_numerical_gamma(p), snr_db
+        assert any("digits" in rec.message for rec in caplog.records)
+    # at -15 dB the closed form keeps its digits: it matches the same
+    # formula summed at 80 digits by mpmath (hyper, loggamma, digamma)
+    p = _at(P20, rho=10.0 ** -1.5)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+        val = mc.adr_closed_form(p)
+    assert not caplog.records
+    assert abs(val - 2.53522511197673) <= 1e-9 * val
+    assert mc.pole_fallback_count() == 0
+
+
 def test_adr_simplified_reference():
     val = mc.adr_simplified(P20)
     assert abs(val - 7.329308462036155) < 1e-12 * val

@@ -6,6 +6,7 @@ and are cross-checked in-test where cheap.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ def test_bessel_k_weighted_series_branch_continuity():
     # deep in the overflow zone the value approaches Gamma(n)/2
     deep = nx.bessel_k_weighted(n, 1e-9)
     assert abs(deep - 0.5 * math.gamma(n)) <= 1e-10 * 0.5 * math.gamma(n)
+
+
+def test_bessel_k_weighted_overflow_raises():
+    # kve(256, z) overflows at moderate z; the product (~1.5e504 here) is
+    # not representable, so no value comes back and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            nx.bessel_k_weighted(256, 11.42)
+        with pytest.raises(OverflowError):
+            nx.bessel_k_weighted(256, np.array([0.5, 11.42, 40.0]))
+
+
+def test_bessel_k_weighted_beyond_argument_range():
+    # past z ~ 1e9 scipy's kve gives nan; the true product underflows to 0
+    assert nx.bessel_k_weighted(20, 2e9) == 0.0
+    assert nx.bessel_k_weighted(1, np.array([1e3, 5e9]))[1] == 0.0
 
 
 def test_bessel_k_weighted_zero_limit():
@@ -164,6 +182,22 @@ def test_hyp_pfq_vs_naive_oracle():
         assert abs(mine - oracle) <= 1e-10 * max(abs(oracle), 1e-30), (a, b, z)
 
 
+def test_hyp_pfq_reports_cancellation():
+    # 1F1(1; 2; z) = (e^z - 1)/z: at z = -30 the alternating terms reach
+    # 30^30/31! ~ 2.5e10 against a sum of ~1/30, so ~12 digits cancel, and
+    # the error of the sum is of the size the ratio predicts
+    val, ratio = nx.hyp_pfq([1.0], [2.0], -30.0, with_cancellation=True)
+    assert val == nx.hyp_pfq([1.0], [2.0], -30.0)
+    assert 11.5 < math.log10(ratio) < 12.5
+    exact = -math.expm1(-30.0) / 30.0
+    assert abs(val - exact) <= 1e-15 * ratio * exact
+    # positive terms cannot cancel: the sum dominates every term
+    val, ratio = nx.hyp_pfq([1.0], [2.0], 1.0, with_cancellation=True)
+    assert abs(val - (math.e - 1.0)) < 1e-14 * val
+    assert ratio <= 1.0
+    assert nx.hyp_pfq([1.0], [2.0], 0.0, with_cancellation=True) == (1.0, 1.0)
+
+
 def test_hyp_pfq_pole_domain():
     with pytest.raises(DomainError):
         nx.hyp_pfq([1.0], [0.0], 0.5)
@@ -174,6 +208,27 @@ def test_hyp_pfq_pole_domain():
 def test_hyp_pfq_non_convergence():
     with pytest.raises(NonConvergenceError):
         nx.hyp_pfq([1.0], [2.0], 30.0, max_terms=5)
+
+
+# ---------------------------------------------------------------------------
+# fixed Gauss-Legendre panels
+# ---------------------------------------------------------------------------
+
+def test_gauss_legendre_panels_exact_for_polynomials():
+    x, w = nx.gauss_legendre_panels([-1.0, 0.5, 2.0, 7.0], 4)
+    assert x.size == w.size == 12 and np.all(np.diff(x) > 0.0)
+    for deg in range(8):
+        exact = (7.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+        assert abs(np.dot(w, x ** deg) - exact) <= 1e-13 * max(abs(exact), 1.0)
+
+
+def test_gauss_legendre_panels_domain():
+    with pytest.raises(DomainError):
+        nx.gauss_legendre_panels([0.0, 0.0, 1.0], 4)
+    with pytest.raises(DomainError):
+        nx.gauss_legendre_panels([0.0], 4)
+    with pytest.raises(DomainError):
+        nx.gauss_legendre_panels([0.0, 1.0], 0)
 
 
 # ---------------------------------------------------------------------------
