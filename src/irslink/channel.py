@@ -40,6 +40,7 @@ import numpy as np
 import scipy.special as sc
 
 from .numerics import (
+    _TAIL_CUTOFF,
     EULER_GAMMA,
     bessel_k_weighted,
     gauss_legendre_panels,
@@ -261,31 +262,36 @@ def gamma_match(alpha: float, beta: float) -> GammaMatch:
     return GammaMatch(shape=shape, scale=scale)
 
 
-def snr_cdf_csi(x, params: SystemParams, match: GammaMatch | None = None):
+def _gamma_law(params: SystemParams, match: GammaMatch | None = None):
+    """Shape a = N k and scale theta of the Gamma model of sum |g_n||h_n|.
+
+    match defaults to gamma_match(alpha, beta) of params.
+    """
+    match = match or gamma_match(params.alpha, params.beta)
+    return params.n_elements * match.shape, match.scale
+
+
+def snr_cdf_csi(x, params: SystemParams):
     """CDF of the co-phased SNR under the Gamma model for sum |g_n||h_n|.
 
     The sum of N matched Gamma variables is Gamma(N k, theta) and
     gamma = rho * (sum)^2, so F(x) = P(N k, (1/theta) sqrt(x/rho)).
     """
-    match = match or gamma_match(params.alpha, params.beta)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_csi requires x >= 0")
-    a = params.n_elements * match.shape
-    u = np.sqrt(x_arr / params.rho) / match.scale
-    val = reg_gamma_lower(a, u)
+    a, theta = _gamma_law(params)
+    val = reg_gamma_lower(a, np.sqrt(x_arr / params.rho) / theta)
     return float(val) if np.ndim(x) == 0 else val
 
 
-def snr_pdf_csi(x, params: SystemParams, match: GammaMatch | None = None):
+def snr_pdf_csi(x, params: SystemParams):
     """Density of the co-phased SNR under the Gamma model (log-domain assembly)."""
-    match = match or gamma_match(params.alpha, params.beta)
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("snr_pdf_csi requires x >= 0")
-    a = params.n_elements * match.shape
-    theta = match.scale
+    a, theta = _gamma_law(params)
     rho = params.rho
     log_pref = -(_LN2 + math.lgamma(a) + a * math.log(theta) + 0.5 * a * math.log(rho))
     out = np.zeros_like(x_arr)
@@ -304,7 +310,6 @@ def snr_pdf_csi(x, params: SystemParams, match: GammaMatch | None = None):
 
 _SCAN_LOG_Y = np.arange(-130.0, 25.0, 0.25)
 _RULE_ORDER = 16
-_TAIL_CUTOFF = 1e-16
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,7 +334,7 @@ def log_snr_rule(mode: str, n_elements: int) -> tuple[np.ndarray, np.ndarray]:
         width = 2.0
     elif mode == "csi":
         pdf = snr_pdf_csi
-        a = n_elements * gamma_match(1.0, 1.0).shape
+        a, _ = _gamma_law(unit)
         width = min(2.0, 2.0 * math.sqrt(float(sc.polygamma(1, a))))
     else:
         raise ValueError(f"mode must be 'nocsi' or 'csi', got {mode!r}")

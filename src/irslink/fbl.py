@@ -53,8 +53,8 @@ class LinearizationParams:
     """Ramp replacement of the error curve: slope slope_mu, center center_x0.
 
     The ramp is 1 below center_x0 - 1/(2 mu), falls linearly through 1/2 at
-    center_x0, and is 0 above center_x0 + 1/(2 mu).  The lower knee may be
-    negative; integrating consumers clamp at 0.
+    center_x0, and is 0 above center_x0 + 1/(2 mu).  knee_lo is that lower
+    knee clamped at 0, where the SNR starts.
     """
 
     slope_mu: float
@@ -66,7 +66,7 @@ class LinearizationParams:
 
     @property
     def knee_lo(self) -> float:
-        return self.center_x0 - 0.5 / self.slope_mu
+        return max(0.0, self.center_x0 - 0.5 / self.slope_mu)
 
     @property
     def knee_hi(self) -> float:
@@ -93,6 +93,11 @@ def _q_inv_once(eps: float) -> float:
     The ADR quadratures call achievable_rate once per panel with one eps.
     """
     return q_inv(eps)
+
+
+def _rate_penalty(blocklength: int, eps: float) -> float:
+    """Qinv(eps) / (sqrt(M) ln2): the rate penalty at unit dispersion."""
+    return _q_inv_once(float(eps)) / (math.sqrt(blocklength) * _LN2)
 
 
 def achievable_rate(gamma, blocklength: int, eps: float):
@@ -203,6 +208,11 @@ def average_error(cdf, blocklength: int, bits: float) -> float:
     """
     x, w = error_rule(blocklength, bits)
     return float(np.dot(w, cdf(x)))
+
+
+def _clamp_prob(val: float) -> float:
+    """val clipped to [0, 1], silently; NaN passes through."""
+    return min(max(val, 0.0), 1.0)
 
 
 def linearization_params(blocklength: int, bits: float) -> LinearizationParams:

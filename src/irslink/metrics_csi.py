@@ -13,19 +13,19 @@ The sec/csc factors of the rate closed form have poles at integer
 a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
 on a pole, but it comes within POLE_GUARD of one for some physical N
 (1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
-back to the numerical rate and flags the event.  It falls back the same
+back to the numerical rate.  It falls back the same
 way at low SNR, where cancellation in and among its pFq terms costs more
 than DIGITS_LOST_MAX of the 16 digits (about -18 dB and below).
 
-Probability outputs are clamped to [0, 1]; clamp events and pole fallbacks
-are counted on module-level thread-safe counters so sweeps can report them.
+Both fallbacks are logged as warnings on the irslink.metrics_csi logger,
+the only record of them; nothing is counted.  Probability outputs are
+clamped to [0, 1] by fbl._clamp_prob, silently.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
 
 import numpy as np
 
@@ -33,15 +33,16 @@ from . import fbl, metrics_nocsi
 from .channel import (
     GammaMatch,
     SystemParams,
+    _gamma_law,
     gamma_match,
     snr_average,
     snr_cdf_csi,
 )
+from .fbl import _clamp_prob, _rate_penalty
 from .numerics import (
     EULER_GAMMA,
     digamma,
     hyp_pfq,
-    q_inv,
     reg_gamma_lower,
     reg_gamma_upper,
 )
@@ -57,9 +58,6 @@ __all__ = [
     "ramp_moment_closed_form",
     "adep_asymptotic",
     "adep_ratio",
-    "pole_fallback_count",
-    "clamp_count",
-    "reset_counters",
 ]
 
 _LN2 = math.log(2.0)
@@ -69,53 +67,9 @@ DIGITS_LOST_MAX = 8.0
 logger = logging.getLogger(__name__)
 
 
-class _EventCounter:
-    """Thread-safe event tally for clamp / fallback reporting."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
-
-_POLE_FALLBACKS = _EventCounter()
-_CLAMPS = _EventCounter()
-
-
-def pole_fallback_count() -> int:
-    return _POLE_FALLBACKS.count
-
-
-def clamp_count() -> int:
-    return _CLAMPS.count
-
-
-def reset_counters() -> None:
-    _POLE_FALLBACKS.reset()
-    _CLAMPS.reset()
-
-
-def _clamp_prob(val: float) -> float:
-    if 0.0 <= val <= 1.0:
-        return val
-    _CLAMPS.bump()
-    return min(max(val, 0.0), 1.0)
-
-
-def _shape_sum(params: SystemParams, match: GammaMatch) -> float:
-    return params.n_elements * match.shape
+def _log_rate_lead(a: float, theta: float, rho: float) -> float:
+    """2 (psi(a) - ln(1/(theta sqrt(rho)))) / ln2, the log term of both rate forms."""
+    return 2.0 * (digamma(a) - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +101,19 @@ def adr_closed_form(params: SystemParams) -> float:
 
     with z = -1/(4 rho theta^2) and s1, s2 the log-domain scale factors.
     Within POLE_GUARD of a sec/csc pole the closed form is abandoned for
-    adr_numerical_gamma; the fallback is logged and counted.  At low SNR the
+    adr_numerical_gamma; the fallback is logged.  At low SNR the
     alternating series cancel (hyp_pfq reports max|term| / |sum|) and so do
     the large terms t1..t3 among themselves; where the two together cost
     more than DIGITS_LOST_MAX of the 16 digits it falls back the same way,
     logged.
     """
-    match = gamma_match(params.alpha, params.beta)
-    a = _shape_sum(params, match)
+    a, theta = _gamma_law(params)
     half_pi_a = 0.5 * math.pi * a
     if min(abs(math.sin(half_pi_a)), abs(math.cos(half_pi_a))) < POLE_GUARD:
-        _POLE_FALLBACKS.bump()
         logger.warning(
             "closed-form rate near sec/csc pole (a=%g); falling back to quadrature", a)
         return adr_numerical_gamma(params)
 
-    theta = match.scale
     rho = params.rho
     z = -0.25 / (rho * theta * theta)
 
@@ -178,8 +129,8 @@ def adr_closed_form(params: SystemParams) -> float:
     t2 = -math.pi / math.cos(half_pi_a) * f12_sec * math.exp(log_s1) / ((a + 1.0) * _LN2)
     log_s2 = -(0.5 * a * math.log(rho) + a * math.log(theta) + math.lgamma(a))
     t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
-    t45 = 2.0 * (digamma(a) - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
-    penalty = q_inv(params.target_eps) / (math.sqrt(params.blocklength) * _LN2)
+    t45 = _log_rate_lead(a, theta, rho)
+    penalty = _rate_penalty(params.blocklength, params.target_eps)
     val = t1 + t2 + t3 + t45 - penalty
     # rounding of each series is amplified by its own cancellation and then
     # by the cancellation among the terms
@@ -195,11 +146,9 @@ def adr_closed_form(params: SystemParams) -> float:
 
 def adr_simplified(params: SystemParams) -> float:
     """Log-approximated average rate, 2(psi(a) - ln(1/(theta sqrt(rho))))/ln2 - penalty."""
-    match = gamma_match(params.alpha, params.beta)
-    a = _shape_sum(params, match)
-    lead = 2.0 * (digamma(a) - math.log(1.0 / (match.scale * math.sqrt(params.rho))))
-    penalty = q_inv(params.target_eps) / math.sqrt(params.blocklength)
-    return (lead - penalty) / _LN2
+    a, theta = _gamma_law(params)
+    return (_log_rate_lead(a, theta, params.rho)
+            - _rate_penalty(params.blocklength, params.target_eps))
 
 
 def rate_gap(params: SystemParams) -> float:
@@ -210,10 +159,9 @@ def rate_gap(params: SystemParams) -> float:
     harmonic limits are read through the digamma identity
     sum_{j=1}^{x-1} 1/j -> psi(x) + g0.
     """
-    base = gamma_match(1.0, 1.0)
-    a = params.n_elements * base.shape
+    a, theta0 = _gamma_law(params, gamma_match(1.0, 1.0))
     return (2.0 * digamma(a) - digamma(params.n_elements) + EULER_GAMMA
-            + 2.0 * math.log(base.scale)) / _LN2
+            + 2.0 * math.log(theta0)) / _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +170,32 @@ def rate_gap(params: SystemParams) -> float:
 
 def adep_numerical(params: SystemParams) -> float:
     """Average error: the error curve averaged by parts against the Gamma-model CDF."""
-    match = gamma_match(params.alpha, params.beta)
-    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_csi(x, params, match),
+    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_csi(x, params),
                                          params.blocklength, params.packet_bits))
 
 
 def adep_linearized(params: SystemParams) -> float:
     """Ramp-averaged error under the Gamma model, fully closed form.
 
-    The ramp moment integral int x^(a/2) e^(-u(x)) dx has the antiderivative
-    -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u(x)), u(x) = sqrt(x/rho)/theta;
-    dividing by the density normalization collapses the moment term to
+    This is mu int_lo^hi F(x) dx, the by-parts ramp average that the no-CSI
+    adep_linearized integrates numerically, written with the CDF at the
+    knees and a moment term.  The moment integral int x^(a/2) e^(-u(x)) dx
+    has the antiderivative -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u(x)),
+    u(x) = sqrt(x/rho)/theta; dividing by the density normalization
+    collapses the moment term to
 
       mu rho theta^2 a (a+1) [P(a+2, u(hi)) - P(a+2, u(lo))]
 
     which is evaluated through regularized lower gammas to dodge the
     cancellation of near-equal upper gammas at high SNR.
     """
-    match = gamma_match(params.alpha, params.beta)
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    a = _shape_sum(params, match)
-    theta, rho = match.scale, params.rho
-    lo = max(0.0, lp.knee_lo)
-    hi = lp.knee_hi
+    a, theta = _gamma_law(params)
+    rho = params.rho
+    lo, hi = lp.knee_lo, lp.knee_hi
     mu, x0 = lp.slope_mu, lp.center_x0
-    f_lo = snr_cdf_csi(lo, params, match)
-    f_hi = snr_cdf_csi(hi, params, match)
+    f_lo = snr_cdf_csi(lo, params)
+    f_hi = snr_cdf_csi(hi, params)
     u_lo = math.sqrt(lo / rho) / theta
     u_hi = math.sqrt(hi / rho) / theta
     delta_p = reg_gamma_lower(a + 2.0, u_hi) - reg_gamma_lower(a + 2.0, u_lo)
@@ -268,12 +216,10 @@ def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = Non
     precision once P(a+2, u) is tiny; it exists for fidelity checks at
     parameter points where the direct difference is representable.
     """
-    match = match or gamma_match(params.alpha, params.beta)
     lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
-    a = _shape_sum(params, match)
-    theta, rho = match.scale, params.rho
-    lo = max(0.0, lp.knee_lo)
-    hi = lp.knee_hi
+    a, theta = _gamma_law(params, match)
+    rho = params.rho
+    lo, hi = lp.knee_lo, lp.knee_hi
     u_lo = math.sqrt(lo / rho) / theta
     u_hi = math.sqrt(hi / rho) / theta
     log_c = (0.5 * a + 1.0) * math.log(rho) + (a + 2.0) * math.log(theta)
@@ -303,8 +249,7 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     kept verbatim including its empirical constant; its SNR exponent is
     exactly 1/2 - a.
     """
-    match = gamma_match(params.alpha, params.beta)
-    a = _shape_sum(params, match)
+    a, theta = _gamma_law(params)
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
     z = -0.5 * m * rs * rs
@@ -318,7 +263,7 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     if form != "two_term":
         raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
     f_b = hyp_pfq([1.0 - 0.25 * a], [1.5], z)
-    theta, rho = match.scale, params.rho
+    rho = params.rho
     log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
                 - 0.5 * a * math.log(rho) - a * math.log(theta) - math.lgamma(a))
     term_a = math.sqrt(2.0) * f_a * math.exp(log_pref + math.lgamma(0.25 * a))

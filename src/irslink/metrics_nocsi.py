@@ -12,8 +12,9 @@ Each metric exists in up to three strengths:
     by its linearization;
   - high-SNR asymptotics exposing the scaling laws.
 
-The Shannon average (upper bound) runs on the same ADR rule.  The ramp's
-moment integral is the one adaptive quadrature left here.
+The Shannon average (upper bound) runs on the same ADR rule.  The ramp
+average is, by parts, mu times the integral of the CDF between the knees;
+it is the one adaptive quadrature left here.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ import math
 import numpy as np
 
 from . import fbl
-from .channel import SystemParams, snr_average, snr_cdf_nocsi, snr_pdf_nocsi
+from .channel import SystemParams, snr_average, snr_cdf_nocsi
+from .fbl import _clamp_prob, _rate_penalty
 # integrate_semi_infinite is not called here; the binding stays for the
 # benchmark's tracer, which patches it in this namespace (bench/test_bench.py)
 from .numerics import (  # noqa: F401
     DomainError,
     EULER_GAMMA,
+    QuadratureSpec,
     digamma,
     integrate_interval,
     integrate_semi_infinite,
-    q_inv,
 )
 
 __all__ = [
@@ -47,6 +49,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# The ramp integral has a relative tolerance only: an absolute floor would
+# stop refining the small averages at high SNR.
+_RAMP_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +76,7 @@ def adr_lower_bound(params: SystemParams) -> float:
     density normalization, so the bound is the upper bound shifted down by
     Qinv(eps) / (sqrt(M) ln2).
     """
-    pen = q_inv(params.target_eps) / (math.sqrt(params.blocklength) * _LN2)
-    return adr_upper_bound(params) - pen
+    return adr_upper_bound(params) - _rate_penalty(params.blocklength, params.target_eps)
 
 
 def adr_asymptotic(params: SystemParams) -> float:
@@ -81,11 +85,9 @@ def adr_asymptotic(params: SystemParams) -> float:
     The harmonic number is read through the digamma identity
     H_{N-1} = psi(N) + g0.
     """
-    n, m = params.n_elements, params.blocklength
     rab = params.rho * params.alpha * params.beta
-    return (digamma(n) + EULER_GAMMA + math.log(rab)
-            - q_inv(params.target_eps) / math.sqrt(m)
-            - 2.0 * EULER_GAMMA) / _LN2
+    return ((digamma(params.n_elements) + EULER_GAMMA + math.log(rab) - 2.0 * EULER_GAMMA)
+            / _LN2 - _rate_penalty(params.blocklength, params.target_eps))
 
 
 # ---------------------------------------------------------------------------
@@ -94,45 +96,37 @@ def adr_asymptotic(params: SystemParams) -> float:
 
 def adep_numerical(params: SystemParams) -> float:
     """Average error: the exact error curve averaged by parts against the CDF."""
-    val = fbl.average_error(lambda x: snr_cdf_nocsi(x, params),
-                            params.blocklength, params.packet_bits)
-    return min(max(val, 0.0), 1.0)
-
-
-def _ramp_pieces(params: SystemParams, lp: fbl.LinearizationParams):
-    """CDF values at the (clamped) ramp knees plus the knee positions."""
-    lo = max(0.0, lp.knee_lo)
-    hi = lp.knee_hi
-    f_lo, f_hi = snr_cdf_nocsi(np.array([lo, hi]), params).tolist()
-    return lo, hi, f_lo, f_hi
+    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_nocsi(x, params),
+                                         params.blocklength, params.packet_bits))
 
 
 def adep_linearized(params: SystemParams) -> float:
-    """Ramp-averaged error using the exact CDF and a quadrature moment term.
+    """Ramp-averaged error, by parts mu * int_lo^hi F(x) dx on the exact CDF.
 
-    F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - mu * int_lo^hi x f(x) dx with the
-    lower knee clamped at 0 (the plateau then carries no mass).
+    The ramp falls from 1 to 0 between its knees lo (clamped at 0) and hi
+    with slope -mu, so E[ramp(X)] = mu * int_lo^hi F(x) dx; the integral is
+    adaptive, to a relative tolerance of 1e-10.
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
-    mu, x0 = lp.slope_mu, lp.center_x0
-    moment = integrate_interval(lambda t: t * snr_pdf_nocsi(t, params), lo, hi)
-    val = f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - mu * moment
-    return min(max(val, 0.0), 1.0)
+    ramp = integrate_interval(lambda x: snr_cdf_nocsi(x, params), lp.knee_lo, lp.knee_hi,
+                              _RAMP_SPEC)
+    return _clamp_prob(lp.slope_mu * ramp)
 
 
 def adep_approx(params: SystemParams) -> float:
     """Closed-form ramp error with the two-term small-argument Bessel kernel.
 
+    Written with the CDF at the knees lo (clamped at 0) and hi, the ramp
+    average is F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - mu int_lo^hi x f(x) dx.
     The Bessel factor of the moment integrand is replaced by its leading
     small-argument pair, which turns the moment into monomial antiderivatives
     x^2/2 and x^3/3.  After the prefactors cancel the moment term reads
 
       mu/(alpha beta rho) * [df2/(N-1) - df1/((N-1)(N-2) alpha beta rho)]
 
-    subtracted from the CDF ramp pieces.  Needs N >= 3 for the second kernel
-    term.  adep_linearized keeps the exact Bessel moment (by quadrature), so
-    the difference of the two isolates the kernel-approximation error.
+    Needs N >= 3 for the second kernel term.  adep_linearized averages the
+    same ramp over the exact law, so the difference of the two isolates the
+    kernel-approximation error.
     """
     n = params.n_elements
     if n < 3:
@@ -140,14 +134,14 @@ def adep_approx(params: SystemParams) -> float:
             f"adep_approx needs n_elements >= 3 (factorials of N-2 and N-3), got {n}"
         )
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    lo, hi, f_lo, f_hi = _ramp_pieces(params, lp)
+    lo, hi = lp.knee_lo, lp.knee_hi
+    f_lo, f_hi = snr_cdf_nocsi(np.array([lo, hi]), params).tolist()
     mu, x0 = lp.slope_mu, lp.center_x0
     rab = params.rho * params.alpha * params.beta
     df2 = 0.5 * (hi * hi - lo * lo)
     df1 = (hi ** 3 - lo ** 3) / 3.0
     moment_term = mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
-    val = f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - moment_term
-    return min(max(val, 0.0), 1.0)
+    return _clamp_prob(f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - moment_term)
 
 
 def adep_asymptotic(params: SystemParams, rs_convention: str = "nats") -> float:

@@ -16,8 +16,8 @@ through this module, so the contracts here are deliberately strict:
   - the metric integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration; the
     adaptive Gauss-Kronrod engine (integrate_interval,
-    integrate_semi_infinite) remains for the ramp moment integral and as
-    the tight reference in tests.
+    integrate_semi_infinite) remains for the no-CSI ramp integral of the
+    CDF and as the tight reference in tests.
 
 All functions are pure and thread-safe; array inputs are supported where
 noted.  Angles, tolerances and counts are plain floats/ints.
@@ -77,18 +77,18 @@ class ToleranceError(RuntimeError):
         self.error_bound = error_bound
 
 
+# Fraction of the peak below which a decaying tail is cut off, both by
+# integrate_semi_infinite and by the fixed log-y rules of the SNR laws.
+_TAIL_CUTOFF = 1e-16
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget knobs for the adaptive quadrature engine.
-
-    tail_cutoff is the fraction of the integrand peak below which the
-    far tail is truncated when integrating over [0, inf).
-    """
+    """Tolerance and budget knobs for the adaptive quadrature engine."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    tail_cutoff: float = 1e-16
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
@@ -97,8 +97,6 @@ class QuadratureSpec:
             raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if not 0.0 < self.tail_cutoff < 1.0:
-            raise DomainError(f"tail_cutoff must be in (0, 1), got {self.tail_cutoff}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -181,12 +179,9 @@ def _bessel_k_weighted_positive(n: int, z: np.ndarray) -> np.ndarray:
     if overflow.any():
         # kve overflow at z < 2: only happens for tiny z with large n
         vals[overflow] = _bessel_k_weighted_series(n, z[overflow])
-    huge = np.isnan(kve)
-    if huge.any():
-        # beyond the library's argument range (z > ~1e9); the e^-z factor
-        # drives the product to zero, so the leading asymptotic suffices
-        zh = z[huge]
-        vals[huge] = np.exp(n * np.log(0.5 * zh) + 0.5 * np.log(np.pi / (2.0 * zh)) - zh)
+    # beyond the library's argument range (z > ~1.07e9) the product is
+    # e^(n ln(z/2) - z) times O(1), which underflows to 0 for n < ~5e7
+    vals[np.isnan(kve)] = 0.0
     return vals
 
 
@@ -195,8 +190,8 @@ def bessel_k_weighted(n: int, z) -> np.ndarray | float:
 
     The product stays O(Gamma(n)) for small z where K_n alone overflows,
     and decays like e^-z for large z.  At z = 0 the limit Gamma(n)/2 is
-    returned for n >= 1.  Past scipy's argument range (z > ~1e9) the
-    leading large-z asymptote is used.  Raises OverflowError, without a
+    returned for n >= 1.  Past scipy's argument range (z > ~1.07e9) the
+    product underflows and 0 is returned.  Raises OverflowError, without a
     RuntimeWarning, where the product leaves double range or scipy's kve
     overflows at z >= 2 (large n).
     """
@@ -249,13 +244,16 @@ def q_inv(p: float) -> float:
 # generalized hypergeometric pFq
 # ---------------------------------------------------------------------------
 
-def hyp_pfq(a_list, b_list, z: float, rel_tol: float = 1e-15,
-            max_terms: int = 10 ** 6, *, with_cancellation: bool = False):
+_PFQ_REL_TOL = 1e-15
+
+
+def hyp_pfq(a_list, b_list, z: float, max_terms: int = 10 ** 6, *,
+            with_cancellation: bool = False):
     """Generalized hypergeometric pFq(a_list; b_list; z) by term-ratio summation.
 
     term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)
 
-    Stops once |term| / |partial sum| < rel_tol for two consecutive terms
+    Stops once |term| / |partial sum| < 1e-15 for two consecutive terms
     (a single small term can be an accidental sign-change zero).
 
     with_cancellation=True returns (value, max|term| / |sum|): the sum
@@ -283,7 +281,7 @@ def hyp_pfq(a_list, b_list, z: float, rel_tol: float = 1e-15,
             mag = abs(term)
             if mag > largest:
                 largest = mag
-            if mag < rel_tol * abs(total):
+            if mag < _PFQ_REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 2:
                     break
@@ -450,8 +448,8 @@ def integrate_semi_infinite(f, spec: QuadratureSpec | None = None) -> float:
     """Adaptive integral of f over [0, inf) for decaying integrands.
 
     The peak of |f| is located on a geometric scan grid, the tail is
-    truncated where the scanned magnitude stays below tail_cutoff times
-    the peak, and the remaining range is compactified with x = c t/(1-t)
+    truncated where the scanned magnitude stays below 1e-16 of the
+    peak, and the remaining range is compactified with x = c t/(1-t)
     before adaptive Gauss-Kronrod subdivision.  Deterministic for fixed
     inputs.  f must accept ndarray abscissae.
     """
@@ -472,7 +470,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec | None = None) -> float:
 
     # truncation point: first grid point past the peak with the whole
     # remaining scanned tail below cutoff
-    below = scan <= spec.tail_cutoff * peak
+    below = scan <= _TAIL_CUTOFF * peak
     upper = None
     for i in range(i_peak + 1, len(scan)):
         if below[i:].all():

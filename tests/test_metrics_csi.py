@@ -10,7 +10,7 @@ import pytest
 from irslink import fbl, metrics_csi as mc, metrics_nocsi as mn
 from irslink.channel import SystemParams, gamma_match, snr_cdf_csi
 from irslink.montecarlo import McConfig, empirical_adep, empirical_adr
-from irslink.numerics import integrate_interval
+from irslink.numerics import integrate_interval, q_inv
 
 P20 = SystemParams(n_elements=20, rho=1.0)
 LN2 = math.log(2.0)
@@ -18,12 +18,6 @@ LN2 = math.log(2.0)
 
 def _at(p, **kw):
     return dataclasses.replace(p, **kw)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_counters():
-    mc.reset_counters()
-    yield
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +42,16 @@ def test_adr_numerical_gamma_vs_monte_carlo():
     assert abs(est.value - quad) < 2.0 * est.stderr
 
 
-def test_adr_closed_form_matches_quadrature():
+def test_adr_closed_form_matches_quadrature(caplog):
     for n in (10, 20):
         for rho in (1.0, 10.0, 100.0):
             p = SystemParams(n_elements=n, rho=rho)
-            cf = mc.adr_closed_form(p)
+            with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+                cf = mc.adr_closed_form(p)
             ng = mc.adr_numerical_gamma(p)
             assert abs(cf - ng) <= 1e-4 * abs(ng), (n, rho)
-    assert mc.pole_fallback_count() == 0
+            assert cf != ng, (n, rho)  # the closed form itself, not a fallback
+    assert not caplog.records
 
 
 def test_adr_closed_form_median_eps_drops_penalty():
@@ -70,8 +66,9 @@ def test_adr_closed_form_pole_fallback(caplog):
     p = SystemParams(n_elements=1287, rho=1.0)
     with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
         val = mc.adr_closed_form(p)
-    assert mc.pole_fallback_count() == 1
-    assert any("pole" in rec.message for rec in caplog.records)
+    assert len(caplog.records) == 1
+    assert caplog.records[0].levelno == logging.WARNING
+    assert "pole" in caplog.records[0].message
     assert val == mc.adr_numerical_gamma(p)
 
 
@@ -85,7 +82,7 @@ def test_adr_closed_form_cancellation_fallback(caplog):
         with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
             val = mc.adr_closed_form(p)
         assert val == mc.adr_numerical_gamma(p), snr_db
-        assert any("digits" in rec.message for rec in caplog.records)
+        assert len(caplog.records) == 1 and "digits" in caplog.records[0].message
     # at -15 dB the closed form keeps its digits: it matches the same
     # formula summed at 80 digits by mpmath (hyper, loggamma, digamma)
     p = _at(P20, rho=10.0 ** -1.5)
@@ -94,7 +91,6 @@ def test_adr_closed_form_cancellation_fallback(caplog):
         val = mc.adr_closed_form(p)
     assert not caplog.records
     assert abs(val - 2.53522511197673) <= 1e-9 * val
-    assert mc.pole_fallback_count() == 0
 
 
 def test_adr_simplified_reference():
@@ -118,7 +114,7 @@ def test_adr_simplified_harmonic_form_identity():
         rab = p.rho * p.alpha * p.beta
         harm2 = 2.0 * (mc.digamma(a) + mc.EULER_GAMMA)
         alt = (harm2 + math.log(theta0 ** 2 * rab)
-               - mc.q_inv(p.target_eps) / math.sqrt(p.blocklength)
+               - q_inv(p.target_eps) / math.sqrt(p.blocklength)
                - 2.0 * mc.EULER_GAMMA) / LN2
         assert abs(alt - mc.adr_simplified(p)) < 1e-12
 
@@ -214,11 +210,15 @@ def test_adep_linearized_in_unit_interval():
         assert 0.0 <= val <= 1.0
 
 
-def test_clamp_counter_reports():
-    mc._clamp_prob(1.5)
-    mc._clamp_prob(-0.1)
-    mc._clamp_prob(0.3)
-    assert mc.clamp_count() == 2
+def test_clamp_prob_clips_silently(caplog):
+    # one silent clamp serves the probability outputs of both modes
+    with caplog.at_level(logging.DEBUG, logger="irslink"):
+        assert fbl._clamp_prob(1.5) == 1.0
+        assert fbl._clamp_prob(-0.1) == 0.0
+        assert fbl._clamp_prob(0.3) == 0.3
+        assert math.isnan(fbl._clamp_prob(math.nan))
+    assert not caplog.records
+    assert mc._clamp_prob is mn._clamp_prob is fbl._clamp_prob
 
 
 def test_ramp_moment_closed_form_vs_quadrature():

@@ -242,8 +242,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(tail_cutoff=1.0)
 
 
 def test_integrate_exponential():

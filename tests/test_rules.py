@@ -207,3 +207,41 @@ def test_adep_rule_steep_csi_law():
     ref = _reference("csi", p, lambda x: fbl.decode_error_prob(x, 200, 100.0))
     assert 1e-160 < ref < 1e-150
     assert abs(mc.adep_numerical(p) - ref) <= 1e-8 * ref
+
+
+# ---------------------------------------------------------------------------
+# no-CSI ramp by parts
+# ---------------------------------------------------------------------------
+
+def _mp_ramp_nocsi(n, rho, m, d):
+    """mu int_lo^hi F(x) dx for the no-CSI law at 40 digits.
+
+    With s = 2 sqrt(x/rho) and d/ds[s^(N+1) K_(N+1)(s)] = -s^(N+1) K_N(s),
+    int_lo^hi F dx = (hi - lo) - (2 rho/(N-1)!) [G(s_lo) - G(s_hi)] where
+    G(s) = (s/2)^(N+1) K_(N+1)(s) and G(0) = N!/2.
+    """
+    mp = pytest.importorskip("mpmath")
+    lp = fbl.linearization_params(m, d)
+    lo = max(0.0, lp.center_x0 - 0.5 / lp.slope_mu)
+    hi = lp.center_x0 + 0.5 / lp.slope_mu
+    with mp.workdps(40):
+        def g(x):
+            if x == 0.0:
+                return mp.factorial(n) / 2
+            s = 2 * mp.sqrt(mp.mpf(x) / rho)
+            return (s / 2) ** (n + 1) * mp.besselk(n + 1, s)
+
+        integral = mp.mpf(hi) - mp.mpf(lo) - 2 * mp.mpf(rho) / mp.gamma(n) * (g(lo) - g(hi))
+        return float(lp.slope_mu * integral)
+
+
+def test_nocsi_ramp_is_mu_times_cdf_integral():
+    # the lower knee clamps at 0 for D = 1 and D = 1e-3; the former moment
+    # form was 2.7e-7 off at N = 1, (2000, 1e-3), 0 dB
+    for n in (1, 2, 8, 40):
+        for snr_db in (0, 20, 40, 60):
+            for m, d in ((200, 100.0), (200, 1.0), (2000, 1e-3)):
+                rho = 10.0 ** (snr_db / 10.0)
+                p = SystemParams(n_elements=n, rho=rho, blocklength=m, packet_bits=d)
+                ref = _mp_ramp_nocsi(n, rho, m, d)
+                assert abs(mn.adep_linearized(p) - ref) <= 1e-9 * ref, (n, snr_db, m, d)
