@@ -14,11 +14,12 @@ Two operating modes are covered:
 
 Density/CDF evaluation routes through the weighted Bessel product and log
 domain arithmetic so that N = 40 and large SNR stay finite; the no-CSI CDF
-switches to the small-argument series of K_N where 1 - (...) K_N would
-cancel, so it keeps its relative digits down to 1e-300.  The no-CSI CDF
-is refused for N > 169 (its Bessel branch overflows inside every SNR
-curve there) and the density raises where (z/2)^(N-1) K_{N-1} overflows,
-so no large-N no-CSI value comes back silently wrong.
+switches to the small-argument series of K_N (numerics, shared with the
+weighted Bessel product) where 1 - (...) K_N would cancel, so it keeps its
+relative digits down to 1e-300.  The no-CSI CDF is refused for N > 169
+(its Bessel branch overflows inside every SNR curve there) and the density
+raises where (z/2)^(N-1) K_{N-1} overflows, so no large-N no-CSI value
+comes back silently wrong.
 
 In both modes the SNR is rho alpha beta times a unit-scale variable Y whose
 law is the mode's law at rho = alpha = beta = 1.  log_snr_rule tabulates
@@ -41,7 +42,7 @@ import scipy.special as sc
 
 from .numerics import (
     _TAIL_CUTOFF,
-    EULER_GAMMA,
+    _bessel_k_cdf_series,
     bessel_k_weighted,
     gauss_legendre_panels,
     reg_gamma_lower,
@@ -150,75 +151,14 @@ def snr_pdf_nocsi(x, params: SystemParams):
     return pref * bessel_k_weighted(n - 1, z)
 
 
-# Terms of the small-argument series; their ratio is at most 1/2 where the
-# series is used (q <= N/4), so 60 terms reach 1e-18.
-_SERIES_TERMS = 60
-
-
-@functools.lru_cache(maxsize=NOCSI_MAX_N)
-def _nocsi_series_coefficients(n: int) -> np.ndarray:
-    """Columns c_k, d_k, e_k (k = 0.._SERIES_TERMS-1) of the K_N series in q = b x.
-
-    c_k = (-1)^(k+1) (N-k-1)! / ((N-1)! k!) for 1 <= k <= N-1, else 0;
-    d_k = N! / (k! (N+k)!);  e_k = -d_k (psi(k+1) + psi(N+k+1)).
-    """
-    coef = np.zeros((_SERIES_TERMS, 3))
-    c = 1.0 / max(n - 1.0, 1.0)
-    d = 1.0
-    harm_k, harm_nk = 0.0, math.fsum(1.0 / j for j in range(1, n + 1))
-    for k in range(_SERIES_TERMS):
-        if 1 <= k <= n - 1:
-            coef[k, 0] = c
-            if k < n - 1:
-                c = -c / ((k + 1.0) * (n - k - 1.0))
-        coef[k, 1] = d
-        coef[k, 2] = d * (2.0 * EULER_GAMMA - harm_k - harm_nk)
-        d /= (k + 1.0) * (n + k + 1.0)
-        harm_k += 1.0 / (k + 1.0)
-        harm_nk += 1.0 / (n + k + 1.0)
-    coef.flags.writeable = False
-    return coef
-
-
-def _nocsi_cdf_series(q: np.ndarray, n: int) -> np.ndarray:
-    """Unit-scale no-CSI CDF at 0 <= q = b x <= N/4 from the small-argument K_N series.
-
-    Inserting A&S 9.6.11 for K_N(2 sqrt(q)) into 1 - (2/(N-1)!) q^(N/2) K_N
-    cancels the leading 1 analytically and leaves
-
-      sum_{k=1}^{N-1} c_k q^k
-      + (-1)^N q^N / ((N-1)! N!) sum_{k>=0} (d_k ln q + e_k) q^k
-
-    (coefficients in _nocsi_series_coefficients).  For q <= N/4 the terms
-    of both sums shrink by a factor <= 1/2 each; the first sum alternates
-    and the second keeps one sign, so F keeps its relative digits down to
-    ~1e-300.
-    """
-    ratio = max(float(q.max()) / max(n - 1.0, 1.0), 1e-300)
-    terms = _SERIES_TERMS
-    if ratio < 0.5:
-        terms = min(terms, int(math.log(1e-18) / math.log(ratio)) + 2)
-    powers = np.empty((q.size, terms))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = q[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # matrix-vector products: a matrix product maps in ~0.4 MB of BLAS workspace
-    finite, sum_d, sum_e = (powers @ col for col in _nocsi_series_coefficients(n)[:terms].T)
-    pref = q ** n * math.exp(-math.lgamma(n) - math.lgamma(n + 1.0))
-    if n % 2:
-        pref = -pref
-    log_q = np.log(q, out=np.zeros_like(q), where=q > 0.0)  # F(0) = 0 exactly
-    return finite + pref * (log_q * sum_d + sum_e)
-
-
 def snr_cdf_nocsi(x, params: SystemParams):
     """CDF of the zero-phase SNR, 1 - (2/(N-1)!) (bx)^(N/2) K_N(2 sqrt(bx)).
 
     The weighted Bessel product keeps the prefactor-Bessel pair finite for
     any N in range.  Below q = bx = N/4, where F < ~0.4 and the difference
-    from 1 cancels, the value comes from the small-argument series instead
-    (relative accuracy ~1e-15 down to F ~ 1e-300).  Exact 0 at x = 0 and
-    monotone to 1.
+    from 1 cancels, the value comes from the small-argument series of K_N
+    in numerics instead (relative accuracy ~1e-15 down to F ~ 1e-300).
+    Exact 0 at x = 0 and monotone to 1.
     """
     b = 1.0 / (params.rho * params.alpha * params.beta)
     n = params.n_elements
@@ -232,13 +172,13 @@ def snr_cdf_nocsi(x, params: SystemParams):
     q = np.atleast_1d(b * x_arr)
     small = q <= 0.25 * n
     if small.all():
-        val = _nocsi_cdf_series(q, n)
+        val = _bessel_k_cdf_series(n, q)
     else:
         val = np.empty_like(q)
         z = 2.0 * np.sqrt(q[~small])
         val[~small] = 1.0 - 2.0 * math.exp(-math.lgamma(n)) * bessel_k_weighted(n, z)
         if small.any():
-            val[small] = _nocsi_cdf_series(q[small], n)
+            val[small] = _bessel_k_cdf_series(n, q[small])
     if np.ndim(x) == 0:
         return float(min(max(val[0], 0.0), 1.0))
     return np.clip(val, 0.0, 1.0)

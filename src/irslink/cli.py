@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -109,11 +110,11 @@ class SweepSpec:
     snr_stop_db: float
     snr_step_db: float
     n_values: tuple
-    alpha: float = 1.0
-    beta: float = 1.0
-    blocklength: int = 200
-    target_eps: float = 1e-8
-    packet_bits: float = 100.0
+    alpha: float = SystemParams.alpha
+    beta: float = SystemParams.beta
+    blocklength: int = SystemParams.blocklength
+    target_eps: float = SystemParams.target_eps
+    packet_bits: float = SystemParams.packet_bits
     mc: McConfig = field(default_factory=McConfig)
     rs_convention: str = "nats"
 
@@ -138,6 +139,14 @@ class SweepSpec:
             raise ValueError("at least one N value is required")
         if self.rs_convention not in ("nats", "bits"):
             raise ValueError("rs_convention must be 'nats' or 'bits'")
+        for n in self.n_values:
+            self._params(n, rho=1.0)  # SystemParams checks the parameter block
+
+    def _params(self, n: int, rho: float) -> SystemParams:
+        return SystemParams(
+            n_elements=n, alpha=self.alpha, beta=self.beta, rho=rho,
+            blocklength=self.blocklength, target_eps=self.target_eps,
+            packet_bits=self.packet_bits)
 
     @property
     def snr_grid_db(self) -> np.ndarray:
@@ -183,10 +192,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
         for n in sorted(spec.n_values):
             ys, errs, notes = [], [], []
             for snr_db in grid:
-                params = SystemParams(
-                    n_elements=int(n), alpha=spec.alpha, beta=spec.beta,
-                    rho=10.0 ** (snr_db / 10.0), blocklength=spec.blocklength,
-                    target_eps=spec.target_eps, packet_bits=spec.packet_bits)
+                params = spec._params(int(n), rho=10.0 ** (snr_db / 10.0))
                 try:
                     val, err = evaluate(params, spec.mc, spec.rs_convention)
                     note = ""
@@ -211,15 +217,16 @@ def _fmt(v) -> str:
 
 
 def emit_csv(curves: list[MetricCurve], destination) -> None:
-    """Write curves as CSV rows sorted by (method, n, snr_db)."""
+    """Write curves as CSV rows sorted by (method, n, snr_db), quoting only where needed."""
 
     def write(fh):
-        fh.write("metric,mode,method,n,snr_db,value,stderr,note\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("metric", "mode", "method", "n", "snr_db", "value", "stderr", "note"))
         for c in sorted(curves, key=lambda c: (c.method, c.n)):
             errs = c.y_err or [None] * len(c.x)
             for x, y, e, note in zip(c.x, c.y, errs, c.notes):
-                fh.write(f"{c.metric},{c.mode},{c.method},{c.n},"
-                         f"{_fmt(x)},{_fmt(y)},{_fmt(e)},{note}\n")
+                rows.writerow((c.metric, c.mode, c.method, c.n,
+                               _fmt(x), _fmt(y), _fmt(e), note))
 
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         try:
@@ -249,12 +256,11 @@ PRESETS = {
 _BASE_DEFAULTS = dict(
     metric="adr", mode="nocsi", methods="numerical", n="20",
     snr_start=-10.0, snr_stop=30.0, snr_step=2.0,
-    m=200, eps=1e-8, bits=100.0, alpha=1.0, beta=1.0,
-    trials=10_000, seed=0, batch=20_000, rs_convention="nats", out="-",
+    m=SystemParams.blocklength, eps=SystemParams.target_eps, bits=SystemParams.packet_bits,
+    alpha=SystemParams.alpha, beta=SystemParams.beta,
+    trials=McConfig.trials, seed=McConfig.seed, batch=McConfig.batch,
+    rs_convention=SweepSpec.rs_convention, out="-",
 )
-
-_FLOAT_KEYS = ("snr_start", "snr_stop", "snr_step", "eps", "bits", "alpha", "beta")
-_INT_KEYS = ("m", "trials", "seed", "batch")
 
 
 def parse_config(path: str) -> dict:
@@ -308,56 +314,44 @@ def _build_parser() -> _Parser:
     p.add_argument("--rs-convention", choices=["nats", "bits"], dest="rs_convention",
                    help="rate convention for asymptotic error formulas")
     p.add_argument("--out", help="output CSV path, '-' for stdout")
+    p.set_defaults(**_BASE_DEFAULTS)
     return p
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    merged = dict(_BASE_DEFAULTS)
-    if args.preset:
-        merged.update(PRESETS[args.preset])
-    if args.config:
-        merged.update(parse_config(args.config))
-    for key in _BASE_DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    for key in _FLOAT_KEYS:
-        merged[key] = float(merged[key])
-    for key in _INT_KEYS:
-        merged[key] = int(merged[key])
-    return merged
+def _parse_args(argv) -> tuple[SweepSpec, str]:
+    """Sweep spec and output path, layered base < preset < config file < flags.
 
-
-def _spec_from_settings(s: dict) -> SweepSpec:
-    methods = tuple(t.strip() for t in str(s["methods"]).split(",") if t.strip())
-    n_values = tuple(int(t) for t in str(s["n"]).split(",") if t.strip())
+    The preset and the config file become parser defaults, so argparse's
+    type= converts config strings exactly as it converts flags.
+    """
+    parser = _build_parser()
+    first = parser.parse_args(argv)
+    if first.preset:
+        parser.set_defaults(**PRESETS[first.preset])
+    if first.config:
+        parser.set_defaults(**parse_config(first.config))
+    s = parser.parse_args(argv)
     return SweepSpec(
-        metric=s["metric"], mode=s["mode"], methods=methods,
-        snr_start_db=s["snr_start"], snr_stop_db=s["snr_stop"],
-        snr_step_db=s["snr_step"], n_values=n_values,
-        alpha=s["alpha"], beta=s["beta"], blocklength=s["m"],
-        target_eps=s["eps"], packet_bits=s["bits"],
-        mc=McConfig(trials=s["trials"], seed=s["seed"], batch=s["batch"]),
-        rs_convention=s["rs_convention"])
+        metric=s.metric, mode=s.mode,
+        methods=tuple(t.strip() for t in s.methods.split(",") if t.strip()),
+        snr_start_db=s.snr_start, snr_stop_db=s.snr_stop, snr_step_db=s.snr_step,
+        n_values=tuple(int(t) for t in s.n.split(",") if t.strip()),
+        alpha=s.alpha, beta=s.beta, blocklength=s.m,
+        target_eps=s.eps, packet_bits=s.bits,
+        mc=McConfig(trials=s.trials, seed=s.seed, batch=s.batch),
+        rs_convention=s.rs_convention), s.out
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        settings = _merge_settings(args)
-        spec = _spec_from_settings(settings)
+        spec, out = _parse_args(argv)
     except (_CliError, ValueError, OSError) as exc:
         print(f"irslink: error: {exc}", file=sys.stderr)
         return 1
 
     curves = run_sweep(spec)
-    out = settings["out"]
     try:
-        if out == "-":
-            emit_csv(curves, sys.stdout)
-        else:
-            emit_csv(curves, out)
+        emit_csv(curves, sys.stdout if out == "-" else out)
     except OSError as exc:
         print(f"irslink: error: {exc}", file=sys.stderr)
         return 1

@@ -117,16 +117,21 @@ def achievable_rate(gamma, blocklength: int, eps: float):
     return float(val) if np.ndim(gamma) == 0 else val
 
 
+def _check_packet(blocklength: int, bits: float) -> None:
+    """Reject a blocklength below 1 or a payload that is not positive."""
+    if blocklength < 1:
+        raise ValueError("blocklength must be >= 1")
+    if not bits > 0.0:
+        raise ValueError("bits must be > 0")
+
+
 def decode_error_prob(gamma, blocklength: int, bits: float):
     """Packet error probability Q(sqrt(M/V) (ln(1+gamma) - D ln2/M)).
 
     gamma = 0 returns 1 by convention: a zero-rate channel cannot carry a
     positive payload, and V(0) = 0 makes the argument degenerate.
     """
-    if blocklength < 1:
-        raise ValueError("blocklength must be >= 1")
-    if not bits > 0.0:
-        raise ValueError("bits must be > 0")
+    _check_packet(blocklength, bits)
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("decode_error_prob requires gamma >= 0")
@@ -183,10 +188,7 @@ def error_rule(blocklength: int, bits: float) -> tuple[np.ndarray, np.ndarray]:
     whose weight underflows are dropped.  Built on first use per (M, D),
     cached and read-only.
     """
-    if blocklength < 1:
-        raise ValueError("blocklength must be >= 1")
-    if not bits > 0.0:
-        raise ValueError("bits must be > 0")
+    _check_packet(blocklength, bits)
     tau = math.sqrt(0.5 * bits * _LN2)
     fine = tau * 2.0 ** np.arange(max(0, math.ceil(-math.log2(tau))))
     edges = np.union1d(_ERROR_RULE_EDGES, np.concatenate([-fine, fine]))
@@ -221,14 +223,20 @@ def linearization_params(blocklength: int, bits: float) -> LinearizationParams:
     center_x0 = 2^(D/M) - 1 and slope_mu = sqrt(M / (2 pi (2^(2D/M) - 1))),
     the negative derivative of the error curve at its half-power point.
     """
-    if blocklength < 1:
-        raise ValueError("blocklength must be >= 1")
-    if not bits > 0.0:
-        raise ValueError("bits must be > 0")
+    _check_packet(blocklength, bits)
     ratio = bits / blocklength
     x0 = math.expm1(ratio * _LN2)
     mu = math.sqrt(blocklength / (_TWO_PI * math.expm1(2.0 * ratio * _LN2)))
     return LinearizationParams(slope_mu=mu, center_x0=x0)
+
+
+def _ramp_average(cdf, lp: LinearizationParams, moment_term: float) -> float:
+    """Ramp-averaged error F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - moment_term, in [0, 1].
+
+    moment_term is mu int_lo^hi x f(x) dx; cdf is called once, on [lo, hi].
+    """
+    f_lo, f_hi = cdf(np.array([lp.knee_lo, lp.knee_hi])).tolist()
+    return _clamp_prob(f_lo + (0.5 + lp.slope_mu * lp.center_x0) * (f_hi - f_lo) - moment_term)
 
 
 def linearized_q(x, lp: LinearizationParams):

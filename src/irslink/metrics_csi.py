@@ -38,7 +38,7 @@ from .channel import (
     snr_average,
     snr_cdf_csi,
 )
-from .fbl import _clamp_prob, _rate_penalty
+from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
 from .numerics import (
     EULER_GAMMA,
     digamma,
@@ -60,7 +60,6 @@ __all__ = [
     "adep_ratio",
 ]
 
-_LN2 = math.log(2.0)
 POLE_GUARD = 1e-3
 DIGITS_LOST_MAX = 8.0
 
@@ -168,6 +167,11 @@ def rate_gap(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
+def _knee_args(lp: fbl.LinearizationParams, rho: float, theta: float) -> tuple[float, float]:
+    """Gamma-model arguments u = sqrt(x/rho)/theta at the ramp knees lo and hi."""
+    return math.sqrt(lp.knee_lo / rho) / theta, math.sqrt(lp.knee_hi / rho) / theta
+
+
 def adep_numerical(params: SystemParams) -> float:
     """Average error: the error curve averaged by parts against the Gamma-model CDF."""
     return _clamp_prob(fbl.average_error(lambda x: snr_cdf_csi(x, params),
@@ -191,17 +195,10 @@ def adep_linearized(params: SystemParams) -> float:
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     a, theta = _gamma_law(params)
-    rho = params.rho
-    lo, hi = lp.knee_lo, lp.knee_hi
-    mu, x0 = lp.slope_mu, lp.center_x0
-    f_lo = snr_cdf_csi(lo, params)
-    f_hi = snr_cdf_csi(hi, params)
-    u_lo = math.sqrt(lo / rho) / theta
-    u_hi = math.sqrt(hi / rho) / theta
+    u_lo, u_hi = _knee_args(lp, params.rho, theta)
     delta_p = reg_gamma_lower(a + 2.0, u_hi) - reg_gamma_lower(a + 2.0, u_lo)
-    moment_term = mu * rho * theta * theta * a * (a + 1.0) * delta_p
-    val = f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - moment_term
-    return _clamp_prob(val)
+    moment_term = lp.slope_mu * params.rho * theta * theta * a * (a + 1.0) * delta_p
+    return _ramp_average(lambda x: snr_cdf_csi(x, params), lp, moment_term)
 
 
 def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = None,
@@ -219,9 +216,7 @@ def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = Non
     lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
     a, theta = _gamma_law(params, match)
     rho = params.rho
-    lo, hi = lp.knee_lo, lp.knee_hi
-    u_lo = math.sqrt(lo / rho) / theta
-    u_hi = math.sqrt(hi / rho) / theta
+    u_lo, u_hi = _knee_args(lp, rho, theta)
     log_c = (0.5 * a + 1.0) * math.log(rho) + (a + 2.0) * math.log(theta)
     if literal_upper:
         log_gamma_a2 = math.lgamma(a + 2.0)

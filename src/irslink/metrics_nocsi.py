@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fbl
 from .channel import SystemParams, snr_average, snr_cdf_nocsi
-from .fbl import _clamp_prob, _rate_penalty
+from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
 # integrate_semi_infinite is not called here; the binding stays for the
 # benchmark's tracer, which patches it in this namespace (bench/test_bench.py)
 from .numerics import (  # noqa: F401
@@ -48,7 +48,6 @@ __all__ = [
     "adep_asymptotic",
 ]
 
-_LN2 = math.log(2.0)
 # The ramp integral has a relative tolerance only: an absolute floor would
 # stop refining the small averages at high SNR.
 _RAMP_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
@@ -135,13 +134,11 @@ def adep_approx(params: SystemParams) -> float:
         )
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     lo, hi = lp.knee_lo, lp.knee_hi
-    f_lo, f_hi = snr_cdf_nocsi(np.array([lo, hi]), params).tolist()
-    mu, x0 = lp.slope_mu, lp.center_x0
     rab = params.rho * params.alpha * params.beta
     df2 = 0.5 * (hi * hi - lo * lo)
     df1 = (hi ** 3 - lo ** 3) / 3.0
-    moment_term = mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
-    return _clamp_prob(f_lo + (0.5 + mu * x0) * (f_hi - f_lo) - moment_term)
+    moment_term = lp.slope_mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
+    return _ramp_average(lambda x: snr_cdf_nocsi(x, params), lp, moment_term)
 
 
 def adep_asymptotic(params: SystemParams, rs_convention: str = "nats") -> float:

@@ -102,11 +102,6 @@ def _channels_from_uniforms(u: np.ndarray, alpha: float, beta: float):
     return h, g
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
-
-
 def _snr_block(params: SystemParams, mode: str, seed: int,
                start_trial: int, count: int) -> np.ndarray:
     """Per-trial SNR of trials [start_trial, start_trial + count).
@@ -126,9 +121,10 @@ def _snr_block(params: SystemParams, mode: str, seed: int,
     tangent costs a fraction of a sine plus a cosine.)  D/2 is pi times a
     multiple of 2^-53, so |t| <= tan(fl(pi/2)) ~ 1.6e16 and t^2 stays
     finite; each term keeps an absolute error of a few ulp of A, as with
-    cos and sin.
+    cos and sin.  An unknown mode is rejected before any draw.
     """
-    _check_mode(mode)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be 'csi' or 'nocsi', got {mode!r}")
     n = params.n_elements
     rows = max(1, _TILE_UNIFORMS // (4 * n))
     out = np.empty(count)
@@ -185,7 +181,6 @@ def _reduce(values: np.ndarray) -> McEstimate:
 
 def empirical_adr(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
     """Mean short-packet rate over seeded trials (CSI mode co-phases first)."""
-    _check_mode(mode)
     m, eps = params.blocklength, params.target_eps
     return _reduce(_per_trial_values(
         params, mode, mc, lambda snr: fbl.achievable_rate(snr, m, eps)))
@@ -193,7 +188,6 @@ def empirical_adr(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
 
 def empirical_adep(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
     """Mean exact per-trial error expression over seeded trials."""
-    _check_mode(mode)
     m, d = params.blocklength, params.packet_bits
     return _reduce(_per_trial_values(
         params, mode, mc, lambda snr: fbl.decode_error_prob(snr, m, d)))
@@ -202,7 +196,6 @@ def empirical_adep(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
 def empirical_snr_cdf(params: SystemParams, mode: str, mc: McConfig,
                       grid) -> np.ndarray:
     """Empirical SNR CDF on a sorted grid (for distribution-fit checks)."""
-    _check_mode(mode)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")

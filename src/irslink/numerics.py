@@ -12,7 +12,10 @@ through this module, so the contracts here are deliberately strict:
     (z/2)^n * K_n(z): the bare factors overflow/underflow pairwise for
     large n, while the product stays moderate.  All density/CDF code
     routes through it, and it raises OverflowError where even the product
-    leaves double range;
+    leaves double range.  The small-argument series of K_n lives here
+    too, as the complement F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q):
+    the no-CSI CDF uses it where 1 - (...) cancels, and the weighted
+    product where scipy's scaled kve overflows;
   - the metric integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration; the
     adaptive Gauss-Kronrod engine (integrate_interval,
@@ -25,6 +28,7 @@ noted.  Angles, tolerances and counts are plain floats/ints.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -130,22 +134,67 @@ def reg_gamma_upper(a, x):
 # modified Bessel functions of the second kind
 # ---------------------------------------------------------------------------
 
-def _bessel_k_weighted_series(n: int, z: np.ndarray) -> np.ndarray:
-    """Small-z series for (z/2)^n K_n(z), n >= 1.
+# Terms of the small-argument series of K_n; their ratio is at most 1/2
+# where the series is used (q <= n/4), so 60 terms reach 1e-18.
+_SERIES_TERMS = 60
+# Orders whose series coefficients are cached: Gamma(n) is finite up to 171.
+_SERIES_MAX_ORDER = 171
 
-    Sums the terminating part 0.5 * sum_{k=0}^{n-1} (-1)^k (n-k-1)!/k! (z/2)^(2k);
-    the remainder is O((z/2)^(2n) log z) and negligible in the z range where
-    this branch is taken (where the scaled Bessel overflows).
+
+@functools.lru_cache(maxsize=_SERIES_MAX_ORDER)
+def _k_series_coefficients(n: int) -> np.ndarray:
+    """Columns c_k, d_k, e_k (k = 0.._SERIES_TERMS-1) of the K_n series in q.
+
+    c_k = (-1)^(k+1) (n-k-1)! / ((n-1)! k!) for 1 <= k <= n-1, else 0;
+    d_k = n! / (k! (n+k)!);  e_k = -d_k (psi(k+1) + psi(n+k+1)).
     """
-    q = 0.25 * z * z  # (z/2)^2
-    term = np.full_like(q, 0.5 * math.exp(math.lgamma(n)))
-    total = term.copy()
-    for k in range(1, n):
-        term = term * (-q) / (k * (n - k))
-        total = total + term
-        if np.all(np.abs(term) < 1e-25 * np.abs(total)):
-            break
-    return total
+    coef = np.zeros((_SERIES_TERMS, 3))
+    c = 1.0 / max(n - 1.0, 1.0)
+    d = 1.0
+    harm_k, harm_nk = 0.0, math.fsum(1.0 / j for j in range(1, n + 1))
+    for k in range(_SERIES_TERMS):
+        if 1 <= k <= n - 1:
+            coef[k, 0] = c
+            if k < n - 1:
+                c = -c / ((k + 1.0) * (n - k - 1.0))
+        coef[k, 1] = d
+        coef[k, 2] = d * (2.0 * EULER_GAMMA - harm_k - harm_nk)
+        d /= (k + 1.0) * (n + k + 1.0)
+        harm_k += 1.0 / (k + 1.0)
+        harm_nk += 1.0 / (n + k + 1.0)
+    coef.flags.writeable = False
+    return coef
+
+
+def _bessel_k_cdf_series(n: int, q: np.ndarray) -> np.ndarray:
+    """F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q) for n >= 1, 0 <= q <= n/4.
+
+    Inserting A&S 9.6.11 for K_n(2 sqrt(q)) cancels the leading 1
+    analytically and leaves
+
+      sum_{k=1}^{n-1} c_k q^k
+      + (-1)^n q^n / ((n-1)! n!) sum_{k>=0} (d_k ln q + e_k) q^k
+
+    (coefficients in _k_series_coefficients).  For q <= n/4 the
+    terms of both sums shrink by a factor <= 1/2 each; the first sum
+    alternates and the second keeps one sign, so F_n keeps its relative
+    digits down to ~1e-300.  F_n(0) = 0 exactly.  q is a 1-D array.
+    """
+    ratio = max(float(q.max()) / max(n - 1.0, 1.0), 1e-300)
+    terms = _SERIES_TERMS
+    if ratio < 0.5:
+        terms = min(terms, int(math.log(1e-18) / math.log(ratio)) + 2)
+    powers = np.empty((q.size, terms))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = q[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # matrix-vector products: a matrix product maps in ~0.4 MB of BLAS workspace
+    finite, sum_d, sum_e = (powers @ col for col in _k_series_coefficients(n)[:terms].T)
+    pref = q ** n * math.exp(-math.lgamma(n) - math.lgamma(n + 1.0))
+    if n % 2:
+        pref = -pref
+    log_q = np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    return finite + pref * (log_q * sum_d + sum_e)
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -163,35 +212,16 @@ def _product_from_kve(n: int, z: np.ndarray, kve: np.ndarray) -> np.ndarray:
     return np.exp(log_vals)
 
 
-def _bessel_k_weighted_positive(n: int, z: np.ndarray) -> np.ndarray:
-    """(z/2)^n K_n(z) for z > 0, from scipy's scaled kve where it is finite."""
-    with np.errstate(over="ignore"):
-        kve = sc.kve(n, z)
-    finite = np.isfinite(kve)
-    if finite.all():
-        return _product_from_kve(n, z, kve)
-    vals = np.empty_like(z)
-    if finite.any():
-        vals[finite] = _product_from_kve(n, z[finite], kve[finite])
-    overflow = np.isinf(kve)
-    if np.any(overflow & (z >= 2.0)) or (overflow.any() and math.lgamma(n) > _LOG_FLOAT_MAX):
-        _raise_overflow(n, z[overflow][-1])
-    if overflow.any():
-        # kve overflow at z < 2: only happens for tiny z with large n
-        vals[overflow] = _bessel_k_weighted_series(n, z[overflow])
-    # beyond the library's argument range (z > ~1.07e9) the product is
-    # e^(n ln(z/2) - z) times O(1), which underflows to 0 for n < ~5e7
-    vals[np.isnan(kve)] = 0.0
-    return vals
-
-
 def bessel_k_weighted(n: int, z) -> np.ndarray | float:
     """(z/2)^n * K_n(z) for integer n >= 0, z >= 0 (z > 0 when n = 0).
 
     The product stays O(Gamma(n)) for small z where K_n alone overflows,
-    and decays like e^-z for large z.  At z = 0 the limit Gamma(n)/2 is
-    returned for n >= 1.  Past scipy's argument range (z > ~1.07e9) the
-    product underflows and 0 is returned.  Raises OverflowError, without a
+    and decays like e^-z for large z.  It comes from scipy's scaled kve
+    where that is finite; where kve overflows (z = 0, or tiny z < 2 for
+    large n) it is Gamma(n)/2 (1 - F_n(z^2/4)) with F_n from the
+    small-argument series of K_n, so z = 0 gives the limit Gamma(n)/2 for
+    n >= 1.  Past scipy's argument range (z > ~1.07e9) the product
+    underflows and 0 is returned.  Raises OverflowError, without a
     RuntimeWarning, where the product leaves double range or scipy's kve
     overflows at z >= 2 (large n).
     """
@@ -204,13 +234,23 @@ def bessel_k_weighted(n: int, z) -> np.ndarray | float:
     if np.any(z_arr < 0.0) or (n == 0 and np.any(z_arr == 0.0)):
         raise DomainError("bessel_k_weighted requires z >= 0 (z > 0 for n = 0)")
 
-    zero = z_arr == 0.0
-    if not zero.any():
-        out = _bessel_k_weighted_positive(n, z_arr)
+    with np.errstate(over="ignore"):
+        kve = sc.kve(n, z_arr)
+    finite = np.isfinite(kve)
+    if finite.all():
+        out = _product_from_kve(n, z_arr, kve)
     else:
-        out = np.full_like(z_arr, 0.5 * math.exp(math.lgamma(n)))
-        if not zero.all():
-            out[~zero] = _bessel_k_weighted_positive(n, z_arr[~zero])
+        # kve is nan past its argument range (z > ~1.07e9), where the product
+        # e^(n ln(z/2) - z) O(1) underflows to 0 for n < ~5e7
+        out = np.zeros_like(z_arr)
+        out[finite] = _product_from_kve(n, z_arr[finite], kve[finite])
+        overflow = np.isinf(kve)
+        if overflow.any():
+            z_small = z_arr[overflow]
+            if z_small.max() >= 2.0 or math.lgamma(n) > _LOG_FLOAT_MAX:
+                _raise_overflow(n, z_small[-1])
+            out[overflow] = 0.5 * math.exp(math.lgamma(n)) * (
+                1.0 - _bessel_k_cdf_series(n, 0.25 * z_small * z_small))
     return float(out[0]) if scalar else out
 
 
@@ -245,16 +285,17 @@ def q_inv(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 _PFQ_REL_TOL = 1e-15
+_PFQ_MAX_TERMS = 10 ** 6
 
 
-def hyp_pfq(a_list, b_list, z: float, max_terms: int = 10 ** 6, *,
-            with_cancellation: bool = False):
+def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
     """Generalized hypergeometric pFq(a_list; b_list; z) by term-ratio summation.
 
     term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)
 
     Stops once |term| / |partial sum| < 1e-15 for two consecutive terms
-    (a single small term can be an accidental sign-change zero).
+    (a single small term can be an accidental sign-change zero); raises
+    NonConvergenceError after 10^6 terms.
 
     with_cancellation=True returns (value, max|term| / |sum|): the sum
     keeps about 16 - log10 of that ratio significant digits.
@@ -269,7 +310,7 @@ def hyp_pfq(a_list, b_list, z: float, max_terms: int = 10 ** 6, *,
     if z != 0.0:
         term = 1.0
         small_streak = 0
-        for k in range(max_terms):
+        for k in range(_PFQ_MAX_TERMS):
             num = 1.0
             for ai in a:
                 num *= ai + k
@@ -291,7 +332,7 @@ def hyp_pfq(a_list, b_list, z: float, max_terms: int = 10 ** 6, *,
                     break
         else:
             raise NonConvergenceError(
-                f"pFq({a_list}; {b_list}; {z}) did not converge within {max_terms} terms"
+                f"pFq({a_list}; {b_list}; {z}) did not converge within {_PFQ_MAX_TERMS} terms"
             )
     if not with_cancellation:
         return total

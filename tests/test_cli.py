@@ -80,6 +80,14 @@ def test_spec_rejects_bad_grid():
         small_spec(snr_stop_db=-20.0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(n_values=(0,)), dict(n_values=(2, 2.5)), dict(blocklength=0),
+    dict(target_eps=2.0), dict(alpha=-1.0), dict(beta=0.0), dict(packet_bits=0.0)])
+def test_spec_rejects_bad_parameter_block(bad):
+    with pytest.raises(ValueError):
+        small_spec(**bad)
+
+
 def test_spec_grid_inclusive():
     assert list(small_spec().snr_grid_db) == [0.0, 2.0, 4.0]
 
@@ -151,6 +159,24 @@ def test_emit_csv_roundtrip():
             assert float(by_key[(c.method, x)]["value"]) == y
 
 
+def test_emit_csv_quotes_notes_with_commas():
+    # the overflow note of the N = 256 no-CSI rate names both n and z
+    curves = run_sweep(small_spec(methods=("asymptotic", "numerical"), n_values=(256,),
+                                  snr_stop_db=0.0))
+    buf = io.StringIO()
+    emit_csv(curves, buf)
+    text = buf.getvalue()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [r["method"] for r in rows] == ["asymptotic", "numerical"]
+    assert all(None not in r for r in rows)  # no surplus fields
+    failed = rows[1]
+    assert failed["value"] == "" and failed["stderr"] == ""
+    assert failed["note"] == curves[1].notes[0]
+    assert failed["note"].startswith("OverflowError:") and "n=255, z=" in failed["note"]
+    # a row without a comma in any field is written unquoted
+    assert text.splitlines()[1] == f"adr,nocsi,asymptotic,256,0,{curves[0].y[0]:.17g},,"
+
+
 def test_emit_csv_path_and_errors(tmp_path):
     curves = run_sweep(small_spec(methods=("asymptotic",)))
     dest = tmp_path / "out.csv"
@@ -210,6 +236,19 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert main(["--config", str(cfg)]) == 1
 
 
+def test_config_file_values_convert_like_flags(tmp_path):
+    args = ["--metric", "adep", "--methods", "asymptotic", "--n", "3",
+            "--snr-start", "0", "--snr-stop", "0"]
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("m = 300\nbits = 50\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(args + ["--config", str(cfg), "--out", str(from_file)]) == 0
+    assert main(args + ["--m", "300", "--bits", "50", "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    cfg.write_text("m = 300.0\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -221,6 +260,18 @@ def test_exit_invalid_invocation():
     # a standard error needs two trials
     assert main(["--methods", "montecarlo", "--trials", "1",
                  "--snr-start", "0", "--snr-stop", "0"]) == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "0"), ("--m", "0"), ("--eps", "2"), ("--alpha", "-1"), ("--bits", "0")])
+def test_exit_invalid_parameter_block(capsys, flag, value):
+    code = main(["--methods", "asymptotic", "--snr-start", "0", "--snr-stop", "0",
+                 flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("irslink: error: ")
 
 
 def test_exit_partial_failure(monkeypatch, tmp_path, capsys):

@@ -65,14 +65,18 @@ def test_bessel_k_weighted_matches_direct():
 
 
 def test_bessel_k_weighted_series_branch_continuity():
-    # kve overflows below z ~ 5e-7 at n = 40; both branches must agree nearby
+    # kve overflows below z ~ 5e-7 at n = 40, where the product comes from the
+    # shared small-argument series of K_n; the kve branch must agree with it
     n = 40
-    direct = nx.bessel_k_weighted(n, 1e-6)
-    series = nx._bessel_k_weighted_series(n, np.asarray([1e-6]))[0]
-    assert abs(direct - series) <= 1e-12 * abs(series)
+    assert np.isfinite(sc.kve(n, 1e-6)) and np.isinf(sc.kve(n, 1e-9))
+    half_gamma = 0.5 * math.gamma(n)
+    for z in (1e-6, 1e-9):
+        q = np.asarray([0.25 * z * z])
+        series = half_gamma * (1.0 - nx._bessel_k_cdf_series(n, q)[0])
+        assert abs(nx.bessel_k_weighted(n, z) - series) <= 1e-12 * series
     # deep in the overflow zone the value approaches Gamma(n)/2
     deep = nx.bessel_k_weighted(n, 1e-9)
-    assert abs(deep - 0.5 * math.gamma(n)) <= 1e-10 * 0.5 * math.gamma(n)
+    assert abs(deep - half_gamma) <= 1e-10 * half_gamma
 
 
 def test_bessel_k_weighted_overflow_raises():
@@ -95,6 +99,8 @@ def test_bessel_k_weighted_beyond_argument_range():
 def test_bessel_k_weighted_zero_limit():
     for n in (1, 4, 20):
         assert nx.bessel_k_weighted(n, 0.0) == 0.5 * math.exp(math.lgamma(n))
+        mixed = nx.bessel_k_weighted(n, np.array([0.0, 0.5]))
+        assert mixed.tolist() == [0.5 * math.exp(math.lgamma(n)), nx.bessel_k_weighted(n, 0.5)]
     with pytest.raises(DomainError):
         nx.bessel_k_weighted(0, 0.0)
 
@@ -205,9 +211,10 @@ def test_hyp_pfq_pole_domain():
         nx.hyp_pfq([1.0], [2.0, -3.0], 0.5)
 
 
-def test_hyp_pfq_non_convergence():
-    with pytest.raises(NonConvergenceError):
-        nx.hyp_pfq([1.0], [2.0], 30.0, max_terms=5)
+def test_hyp_pfq_non_convergence(monkeypatch):
+    monkeypatch.setattr(nx, "_PFQ_MAX_TERMS", 5)
+    with pytest.raises(NonConvergenceError, match="within 5 terms"):
+        nx.hyp_pfq([1.0], [2.0], 30.0)
 
 
 # ---------------------------------------------------------------------------
