@@ -43,6 +43,7 @@ import scipy.special as sc
 from .numerics import (
     _TAIL_CUTOFF,
     _bessel_k_cdf_series,
+    _dot_per_rho,
     bessel_k_weighted,
     gauss_legendre_panels,
     reg_gamma_lower,
@@ -74,7 +75,10 @@ class SystemParams:
 
     n_elements: number of reflecting elements N
     alpha, beta: per-element channel variances of the two hops
-    rho: transmit SNR P/sigma^2 (linear)
+    rho: transmit SNR P/sigma^2 (linear); the rule-based metrics (through
+        snr_average and fbl.average_error) also take a 1-D array of them
+        and return one value per rho, and the SNR CDFs broadcast an array
+        rho against x
     blocklength: channel uses per packet M
     target_eps: decoding error target used by rate evaluation
     packet_bits: payload size D in bits used by error evaluation
@@ -91,9 +95,12 @@ class SystemParams:
     def __post_init__(self):
         if self.n_elements < 1 or self.n_elements != int(self.n_elements):
             raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
-        for name in ("alpha", "beta", "rho", "packet_bits"):
+        for name in ("alpha", "beta", "packet_bits"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        rho = self.rho
+        if not (np.all(rho > 0.0) if isinstance(rho, np.ndarray) else rho > 0.0):
+            raise ValueError(f"rho must be > 0, got {rho}")
         if self.blocklength < 1 or self.blocklength != int(self.blocklength):
             raise ValueError(f"blocklength must be a positive integer, got {self.blocklength}")
         if not 0.0 < self.target_eps < 1.0:
@@ -158,7 +165,8 @@ def snr_cdf_nocsi(x, params: SystemParams):
     any N in range.  Below q = bx = N/4, where F < ~0.4 and the difference
     from 1 cancels, the value comes from the small-argument series of K_N
     in numerics instead (relative accuracy ~1e-15 down to F ~ 1e-300).
-    Exact 0 at x = 0 and monotone to 1.
+    Exact 0 at x = 0 and monotone to 1.  An array params.rho broadcasts
+    against x; each value depends only on its own q = bx.
     """
     b = 1.0 / (params.rho * params.alpha * params.beta)
     n = params.n_elements
@@ -169,17 +177,19 @@ def snr_cdf_nocsi(x, params: SystemParams):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_nocsi requires x >= 0")
-    q = np.atleast_1d(b * x_arr)
+    q = b * x_arr
+    scalar = np.ndim(q) == 0
+    q = np.atleast_1d(q)
     small = q <= 0.25 * n
     if small.all():
-        val = _bessel_k_cdf_series(n, q)
+        val = _bessel_k_cdf_series(n, q.ravel()).reshape(q.shape)
     else:
         val = np.empty_like(q)
         z = 2.0 * np.sqrt(q[~small])
         val[~small] = 1.0 - 2.0 * math.exp(-math.lgamma(n)) * bessel_k_weighted(n, z)
         if small.any():
             val[small] = _bessel_k_cdf_series(n, q[small])
-    if np.ndim(x) == 0:
+    if scalar:
         return float(min(max(val[0], 0.0), 1.0))
     return np.clip(val, 0.0, 1.0)
 
@@ -215,14 +225,15 @@ def snr_cdf_csi(x, params: SystemParams):
     """CDF of the co-phased SNR under the Gamma model for sum |g_n||h_n|.
 
     The sum of N matched Gamma variables is Gamma(N k, theta) and
-    gamma = rho * (sum)^2, so F(x) = P(N k, (1/theta) sqrt(x/rho)).
+    gamma = rho * (sum)^2, so F(x) = P(N k, (1/theta) sqrt(x/rho)).  An
+    array params.rho broadcasts against x.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_csi requires x >= 0")
     a, theta = _gamma_law(params)
     val = reg_gamma_lower(a, np.sqrt(x_arr / params.rho) / theta)
-    return float(val) if np.ndim(x) == 0 else val
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def snr_pdf_csi(x, params: SystemParams):
@@ -299,10 +310,14 @@ def log_snr_rule(mode: str, n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     return y, w
 
 
-def snr_average(g, params: SystemParams, mode: str) -> float:
-    """E[g(SNR)] for the mode's SNR law, on the cached rule of log_snr_rule.
+def snr_average(g, params: SystemParams, mode: str):
+    """E[g(SNR)] for the mode's SNR law, per rho, on the cached rule of log_snr_rule.
 
-    g must accept an ndarray of SNR values; it is called once.
+    params.rho is a float or a 1-D array; the result is a float or one
+    value per rho.  g must be elementwise: it is called on the (rho, node)
+    grid of SNR values rho alpha beta y_j, one row block at a time, and
+    each row is reduced by its own dot product with the weights (see
+    numerics._dot_per_rho), so a value does not depend on the other rho.
     """
     y, w = log_snr_rule(mode, params.n_elements)
-    return float(np.dot(w, g(params.rho * params.alpha * params.beta * y)))
+    return _dot_per_rho(w, lambda rho: g(rho * params.alpha * params.beta * y), params.rho)

@@ -38,30 +38,61 @@ __all__ = [
 ]
 
 
+def _point(call, *args) -> tuple:
+    """(value, stderr, "") from call(*args) -> (value, stderr), or (None, None, note) if it fails."""
+    try:
+        value, stderr = call(*args)
+    except (ToleranceError, NonConvergenceError, OverflowError, ValueError) as exc:
+        return None, None, f"{type(exc).__name__}: {exc}"
+    return value, stderr, ""
+
+
+def _per_point(evaluate_point):
+    """Curve evaluator calling evaluate_point(params, mc, rs_convention) at each rho."""
+    def evaluate(spec, n, rhos):
+        return [_point(evaluate_point, spec._params(n, rho), spec.mc, spec.rs_convention)
+                for rho in rhos]
+    return evaluate
+
+
 def _exact(formula):
-    """Evaluator of a deterministic formula(params, rs_convention): no stderr."""
-    return lambda params, mc, rs_convention: (formula(params, rs_convention), None)
+    """Curve evaluator of a deterministic formula(params, rs_convention), point by point."""
+    return _per_point(lambda params, mc, rs_convention: (formula(params, rs_convention), None))
 
 
 def _sampled(estimator):
-    """Evaluator of a Monte-Carlo estimator(params, mc) -> McEstimate."""
-    def evaluate(params, mc, rs_convention):
+    """Curve evaluator of a Monte-Carlo estimator(params, mc) -> McEstimate, point by point."""
+    def evaluate_point(params, mc, rs_convention):
         est = estimator(params, mc)
         return est.value, est.stderr
+    return _per_point(evaluate_point)
+
+
+def _batched(metric):
+    """Curve evaluator of a rule-based metric(params): one call for the whole rho vector.
+
+    If that call fails, every point of the curve carries its note.
+    """
+    def evaluate(spec, n, rhos):
+        values, _, note = _point(lambda: (metric(spec._params(n, np.array(rhos))), None))
+        if note:
+            return [(None, None, note)] * len(rhos)
+        return [(float(v), None, "") for v in values]
     return evaluate
 
 
 # Evaluators shared by a method and its alias.  Every evaluator looks its
 # library function up through the module when called, so code that swaps a
 # module attribute (tests, tracing) reaches the sweep.
-_adr_nocsi_lower = _exact(lambda p, rs: metrics_nocsi.adr_lower_bound(p))
-_adr_nocsi_upper = _exact(lambda p, rs: metrics_nocsi.adr_upper_bound(p))
+_adr_nocsi_lower = _batched(lambda p: metrics_nocsi.adr_lower_bound(p))
+_adr_nocsi_upper = _batched(lambda p: metrics_nocsi.adr_upper_bound(p))
 _adr_csi_closed = _exact(lambda p, rs: metrics_csi.adr_closed_form(p))
 
-# (metric, mode) -> {method: evaluator(params, mc, rs_convention) -> (value, stderr|None)}
+# (metric, mode) -> {method: evaluator(spec, n, rhos) -> [(value|None, stderr|None,
+# note)] per rho}; the rule-based methods are _batched, the others _per_point.
 _EVALUATORS = {
     ("adr", "nocsi"): {
-        "numerical": _exact(lambda p, rs: metrics_nocsi.adr_numerical(p)),
+        "numerical": _batched(lambda p: metrics_nocsi.adr_numerical(p)),
         "lower_bound": _adr_nocsi_lower,
         "upper_bound": _adr_nocsi_upper,
         "approx": _adr_nocsi_lower,
@@ -70,15 +101,15 @@ _EVALUATORS = {
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "nocsi", mc)),
     },
     ("adr", "csi"): {
-        "numerical": _exact(lambda p, rs: metrics_csi.adr_numerical_gamma(p)),
+        "numerical": _batched(lambda p: metrics_csi.adr_numerical_gamma(p)),
         "closed_form": _adr_csi_closed,
         "approx": _adr_csi_closed,
         "asymptotic": _exact(lambda p, rs: metrics_csi.adr_simplified(p)),
-        "shannon": _exact(lambda p, rs: metrics_csi.shannon_gamma(p)),
+        "shannon": _batched(lambda p: metrics_csi.shannon_gamma(p)),
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "csi", mc)),
     },
     ("adep", "nocsi"): {
-        "numerical": _exact(lambda p, rs: metrics_nocsi.adep_numerical(p)),
+        "numerical": _batched(lambda p: metrics_nocsi.adep_numerical(p)),
         "linearized": _exact(lambda p, rs: metrics_nocsi.adep_linearized(p)),
         "approx": _exact(lambda p, rs: metrics_nocsi.adep_approx(p)),
         "asymptotic": _exact(
@@ -86,7 +117,7 @@ _EVALUATORS = {
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "nocsi", mc)),
     },
     ("adep", "csi"): {
-        "numerical": _exact(lambda p, rs: metrics_csi.adep_numerical(p)),
+        "numerical": _batched(lambda p: metrics_csi.adep_numerical(p)),
         "linearized": _exact(lambda p, rs: metrics_csi.adep_linearized(p)),
         "asymptotic": _exact(
             lambda p, rs: metrics_csi.adep_asymptotic(p, rs_convention=rs)),
@@ -142,7 +173,7 @@ class SweepSpec:
         for n in self.n_values:
             self._params(n, rho=1.0)  # SystemParams checks the parameter block
 
-    def _params(self, n: int, rho: float) -> SystemParams:
+    def _params(self, n: int, rho) -> SystemParams:
         return SystemParams(
             n_elements=n, alpha=self.alpha, beta=self.beta, rho=rho,
             blocklength=self.blocklength, target_eps=self.target_eps,
@@ -180,25 +211,20 @@ class MetricCurve:
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     """Evaluate every (method, N, SNR) combination the sweep spec requests.
 
-    Per-point failures, including non-finite values, are recorded as
-    missing values with a reason note; the sweep itself never aborts on
+    Each (method, N) curve is one evaluator call on the curve's whole rho
+    vector.  Per-point failures, including non-finite values, are recorded
+    as missing values with a reason note; the sweep itself never aborts on
     them.
     """
     grid = spec.snr_grid_db
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in grid.tolist()]
     evaluators = _EVALUATORS[(spec.metric, spec.mode)]
     curves = []
     for method in sorted(spec.methods):
         evaluate = evaluators[method]
         for n in sorted(spec.n_values):
             ys, errs, notes = [], [], []
-            for snr_db in grid:
-                params = spec._params(int(n), rho=10.0 ** (snr_db / 10.0))
-                try:
-                    val, err = evaluate(params, spec.mc, spec.rs_convention)
-                    note = ""
-                except (ToleranceError, NonConvergenceError, OverflowError,
-                        ValueError) as exc:
-                    val, err, note = None, None, f"{type(exc).__name__}: {exc}"
+            for val, err, note in evaluate(spec, int(n), rhos):
                 if val is not None and not math.isfinite(val):
                     val, err, note = None, None, f"non-finite value {val}"
                 ys.append(val)

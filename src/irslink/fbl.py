@@ -12,8 +12,8 @@ and the matching decoding error for a D-bit packet is
 The Q argument w(gamma) rises strictly from -inf to +inf, so with T a
 standard normal, eps(gamma) = P(T > w(gamma)) and the average error over
 any SNR law with CDF F is E_T[F(x(T))], x = w^-1.  error_rule tabulates
-x(t_i) and the normal weights once per (M, D); an average error then costs
-one vectorized CDF call.
+x(t_i) and the normal weights once per (M, D); the average errors of a
+whole vector of rho then cost one vectorized CDF call per row block.
 
 Two rate conventions float around the asymptotic error formulas: the exact
 Q argument above uses D ln2 / M nats per use ("nats", the default here),
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import gauss_legendre_panels, q_func, q_inv
+from .numerics import _dot_per_rho, gauss_legendre_panels, q_func, q_inv
 
 __all__ = [
     "LinearizationParams",
@@ -202,18 +202,25 @@ def error_rule(blocklength: int, bits: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def average_error(cdf, blocklength: int, bits: float) -> float:
-    """E[decode_error_prob(X, M, D)] for an SNR X with CDF cdf (unclamped).
+def average_error(cdf, params):
+    """E[decode_error_prob(X, M, D)] per rho, for an SNR X with CDF cdf(x, params) (unclamped).
 
-    cdf must accept an ndarray; it is called once, on the nodes of
-    error_rule(M, D).
+    M, D and rho are params.blocklength, params.packet_bits and params.rho;
+    rho is a float or a 1-D array, and the result a float or one value per
+    rho.  cdf must broadcast an array params.rho against x: it is called
+    on the nodes of error_rule(M, D) with a column of rho values, one row
+    block at a time, and each row is reduced by its own dot product with
+    the weights (see numerics._dot_per_rho), so a value does not depend on
+    the other rho.
     """
-    x, w = error_rule(blocklength, bits)
-    return float(np.dot(w, cdf(x)))
+    x, w = error_rule(params.blocklength, params.packet_bits)
+    return _dot_per_rho(w, lambda rho: cdf(x, replace(params, rho=rho)), params.rho)
 
 
-def _clamp_prob(val: float) -> float:
-    """val clipped to [0, 1], silently; NaN passes through."""
+def _clamp_prob(val):
+    """val clipped to [0, 1], silently, elementwise for an ndarray; NaN passes through."""
+    if isinstance(val, np.ndarray):
+        return np.clip(val, 0.0, 1.0)
     return min(max(val, 0.0), 1.0)
 
 

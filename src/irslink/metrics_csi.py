@@ -5,9 +5,11 @@ product |g||h|: the co-phased SNR is modeled as rho * XI^2 with
 XI ~ Gamma(N k, theta).  The "numerical" rate and error average the exact
 rate or error curve over that law on the fixed rules shared with the
 no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
-ADEP).  The closed forms below combine incomplete gammas, digammas and
-generalized hypergeometric values; everything is assembled in log
-magnitude where factors would otherwise overflow.
+ADEP); like the Shannon average, they take a 1-D array of rho in
+params.rho and return one value per rho.  The closed forms below combine
+incomplete gammas, digammas and generalized hypergeometric values;
+everything is assembled in log magnitude where factors would otherwise
+overflow.
 
 The sec/csc factors of the rate closed form have poles at integer
 a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
@@ -24,6 +26,7 @@ clamped to [0, 1] by fbl._clamp_prob, silently.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -75,14 +78,14 @@ def _log_rate_lead(a: float, theta: float, rho: float) -> float:
 # average data rate
 # ---------------------------------------------------------------------------
 
-def adr_numerical_gamma(params: SystemParams) -> float:
-    """Average rate: the short-packet rate averaged over the Gamma-model SNR law."""
+def adr_numerical_gamma(params: SystemParams):
+    """Average rate, per rho: the short-packet rate averaged over the Gamma-model SNR law."""
     m, eps = params.blocklength, params.target_eps
     return snr_average(lambda x: fbl.achievable_rate(x, m, eps), params, "csi")
 
 
-def shannon_gamma(params: SystemParams) -> float:
-    """Average Shannon rate under the Gamma model (no blocklength penalty)."""
+def shannon_gamma(params: SystemParams):
+    """Average Shannon rate under the Gamma model (no blocklength penalty), per rho."""
     return snr_average(lambda x: np.log2(1.0 + x), params, "csi")
 
 
@@ -172,10 +175,9 @@ def _knee_args(lp: fbl.LinearizationParams, rho: float, theta: float) -> tuple[f
     return math.sqrt(lp.knee_lo / rho) / theta, math.sqrt(lp.knee_hi / rho) / theta
 
 
-def adep_numerical(params: SystemParams) -> float:
-    """Average error: the error curve averaged by parts against the Gamma-model CDF."""
-    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_csi(x, params),
-                                         params.blocklength, params.packet_bits))
+def adep_numerical(params: SystemParams):
+    """Average error, per rho: the error curve averaged by parts against the Gamma-model CDF."""
+    return _clamp_prob(fbl.average_error(snr_cdf_csi, params))
 
 
 def adep_linearized(params: SystemParams) -> float:
@@ -229,6 +231,16 @@ def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = Non
     return 2.0 * math.exp(log_c + math.lgamma(a + 2.0) + math.log(delta_p))
 
 
+@functools.lru_cache(maxsize=64)
+def _tail_series(a: float, blocklength: int, rate: float) -> tuple[float, float]:
+    """1F1((2-a)/4; 1/2; z) and 1F1(1-a/4; 3/2; z), z = -M r^2/2, of the CSI error tail.
+
+    Neither contains rho, so each (a, M, r) sums its pair once.
+    """
+    z = -0.5 * blocklength * rate * rate
+    return hyp_pfq([0.25 * (2.0 - a)], [0.5], z), hyp_pfq([1.0 - 0.25 * a], [1.5], z)
+
+
 def adep_asymptotic(params: SystemParams, form: str = "two_term",
                     rs_convention: str = "nats") -> float:
     """High-SNR error under the Gamma model.
@@ -247,8 +259,7 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     a, theta = _gamma_law(params)
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
-    z = -0.5 * m * rs * rs
-    f_a = hyp_pfq([0.25 * (2.0 - a)], [0.5], z)
+    f_a, f_b = _tail_series(a, m, rs)
     if form == "single_term":
         rab = params.rho * params.alpha * params.beta
         log_val = ((1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
@@ -257,7 +268,6 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
         return f_a * math.exp(log_val)
     if form != "two_term":
         raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
-    f_b = hyp_pfq([1.0 - 0.25 * a], [1.5], z)
     rho = params.rho
     log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
                 - 0.5 * a * math.log(rho) - a * math.log(theta) - math.lgamma(a))

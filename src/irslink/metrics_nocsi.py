@@ -6,8 +6,10 @@ Each metric exists in up to three strengths:
     Bessel-K SNR law on fixed rules (the reference everything else is
     judged by): ADR against the unit-scale density in log y
     (channel.log_snr_rule), ADEP by parts against the CDF on the nodes of
-    fbl.error_rule.  Both rules are free of rho and cached, so a point
-    costs one vectorized rate or CDF evaluation;
+    fbl.error_rule.  Both rules are free of rho and cached, so these
+    methods, the rate bounds included, take a 1-D array of rho in
+    params.rho and evaluate the whole curve in one vectorized rate or CDF
+    call per row block;
   - closed-form bounds / ramp approximations with the error curve replaced
     by its linearization;
   - high-SNR asymptotics exposing the scaling laws.
@@ -57,19 +59,19 @@ _RAMP_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
 # average data rate
 # ---------------------------------------------------------------------------
 
-def adr_numerical(params: SystemParams) -> float:
-    """Average rate: the short-packet rate averaged over the SNR law."""
+def adr_numerical(params: SystemParams):
+    """Average rate: the short-packet rate averaged over the SNR law, per rho."""
     m, eps = params.blocklength, params.target_eps
     return snr_average(lambda x: fbl.achievable_rate(x, m, eps), params, "nocsi")
 
 
-def adr_upper_bound(params: SystemParams) -> float:
-    """Average Shannon rate over the SNR law (penalty term dropped)."""
+def adr_upper_bound(params: SystemParams):
+    """Average Shannon rate over the SNR law (penalty term dropped), per rho."""
     return snr_average(lambda x: np.log2(1.0 + x), params, "nocsi")
 
 
-def adr_lower_bound(params: SystemParams) -> float:
-    """Lower rate bound: Shannon average minus the worst-case penalty.
+def adr_lower_bound(params: SystemParams):
+    """Lower rate bound, per rho: Shannon average minus the worst-case penalty.
 
     Bounding the dispersion by 1 turns the penalty integral into the plain
     density normalization, so the bound is the upper bound shifted down by
@@ -93,10 +95,9 @@ def adr_asymptotic(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def adep_numerical(params: SystemParams) -> float:
-    """Average error: the exact error curve averaged by parts against the CDF."""
-    return _clamp_prob(fbl.average_error(lambda x: snr_cdf_nocsi(x, params),
-                                         params.blocklength, params.packet_bits))
+def adep_numerical(params: SystemParams):
+    """Average error, per rho: the exact error curve averaged by parts against the CDF."""
+    return _clamp_prob(fbl.average_error(snr_cdf_nocsi, params))
 
 
 def adep_linearized(params: SystemParams) -> float:

@@ -17,7 +17,8 @@ through this module, so the contracts here are deliberately strict:
     the no-CSI CDF uses it where 1 - (...) cancels, and the weighted
     product where scipy's scaled kve overflows;
   - the metric integrals run on fixed composite Gauss-Legendre rules
-    (gauss_legendre_panels) built once per rho-free configuration; the
+    (gauss_legendre_panels) built once per rho-free configuration, and
+    _dot_per_rho reduces a whole vector of rho on them in row blocks; the
     adaptive Gauss-Kronrod engine (integrate_interval,
     integrate_semi_infinite) remains for the no-CSI ramp integral of the
     CDF and as the tight reference in tests.
@@ -85,6 +86,13 @@ class ToleranceError(RuntimeError):
 # integrate_semi_infinite and by the fixed log-y rules of the SNR laws.
 _TAIL_CUTOFF = 1e-16
 
+# Doubles in one batched block (64 KiB, well inside a 2 MB L2): the
+# rule-based metrics evaluate their (rho, node) grids in row blocks of this
+# size (_dot_per_rho), and the K_n series builds its (terms, elements)
+# powers in chunks of it (and their three weighted copies, 3x that), so an
+# 81-point curve's temporaries stay under 1 MiB.
+_BLOCK_DOUBLES = 2 ** 13
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -137,28 +145,30 @@ def reg_gamma_upper(a, x):
 # Terms of the small-argument series of K_n; their ratio is at most 1/2
 # where the series is used (q <= n/4), so 60 terms reach 1e-18.
 _SERIES_TERMS = 60
+_LOG_SERIES_TOL = math.log(1e-18)
+_SERIES_K_MINUS_1 = (np.arange(_SERIES_TERMS) - 1.0)[:, None]
 # Orders whose series coefficients are cached: Gamma(n) is finite up to 171.
 _SERIES_MAX_ORDER = 171
 
 
 @functools.lru_cache(maxsize=_SERIES_MAX_ORDER)
 def _k_series_coefficients(n: int) -> np.ndarray:
-    """Columns c_k, d_k, e_k (k = 0.._SERIES_TERMS-1) of the K_n series in q.
+    """Rows c_k, d_k, e_k (k = 0.._SERIES_TERMS-1) of the K_n series in q.
 
     c_k = (-1)^(k+1) (n-k-1)! / ((n-1)! k!) for 1 <= k <= n-1, else 0;
     d_k = n! / (k! (n+k)!);  e_k = -d_k (psi(k+1) + psi(n+k+1)).
     """
-    coef = np.zeros((_SERIES_TERMS, 3))
+    coef = np.zeros((3, _SERIES_TERMS))
     c = 1.0 / max(n - 1.0, 1.0)
     d = 1.0
     harm_k, harm_nk = 0.0, math.fsum(1.0 / j for j in range(1, n + 1))
     for k in range(_SERIES_TERMS):
         if 1 <= k <= n - 1:
-            coef[k, 0] = c
+            coef[0, k] = c
             if k < n - 1:
                 c = -c / ((k + 1.0) * (n - k - 1.0))
-        coef[k, 1] = d
-        coef[k, 2] = d * (2.0 * EULER_GAMMA - harm_k - harm_nk)
+        coef[1, k] = d
+        coef[2, k] = d * (2.0 * EULER_GAMMA - harm_k - harm_nk)
         d /= (k + 1.0) * (n + k + 1.0)
         harm_k += 1.0 / (k + 1.0)
         harm_nk += 1.0 / (n + k + 1.0)
@@ -176,25 +186,50 @@ def _bessel_k_cdf_series(n: int, q: np.ndarray) -> np.ndarray:
       + (-1)^n q^n / ((n-1)! n!) sum_{k>=0} (d_k ln q + e_k) q^k
 
     (coefficients in _k_series_coefficients).  For q <= n/4 the
-    terms of both sums shrink by a factor <= 1/2 each; the first sum
-    alternates and the second keeps one sign, so F_n keeps its relative
+    terms of both sums shrink by a factor r = q/(n-1) <= 1/2 each; the first
+    sum alternates and the second keeps one sign, so F_n keeps its relative
     digits down to ~1e-300.  F_n(0) = 0 exactly.  q is a 1-D array.
+
+    Each element keeps the terms its own r needs for 1e-18: k - 1 <= y with
+    y = ln(1e-18) / ln(r), int(y) + 2 terms (at most 60).  Its powers q^k
+    fill one column of a (terms, elements) array, zero past its own count,
+    and each sum adds that column's terms in order of k.  So an element's
+    value depends on its q alone, not on the other elements of the call.
+    Elements are taken in chunks whose powers fill at most _BLOCK_DOUBLES
+    doubles, grouped by term count where there is more than one chunk.
     """
-    ratio = max(float(q.max()) / max(n - 1.0, 1.0), 1e-300)
-    terms = _SERIES_TERMS
-    if ratio < 0.5:
-        terms = min(terms, int(math.log(1e-18) / math.log(ratio)) + 2)
-    powers = np.empty((q.size, terms))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = q[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # matrix-vector products: a matrix product maps in ~0.4 MB of BLAS workspace
-    finite, sum_d, sum_e = (powers @ col for col in _k_series_coefficients(n)[:terms].T)
-    pref = q ** n * math.exp(-math.lgamma(n) - math.lgamma(n + 1.0))
+    # ln q, finite at q = 0 (whose value q^n (...) is 0 either way)
+    log_q = np.log(np.maximum(q, 5e-324))
+    y = _LOG_SERIES_TOL / (log_q - math.log(max(n - 1.0, 1.0)))
+    if q.size * _SERIES_TERMS > _BLOCK_DOUBLES:
+        order = np.argsort(y.astype(np.int8), kind="stable")
+    else:
+        order = np.arange(q.size)
+    coef = _k_series_coefficients(n)
+    lead = math.exp(-math.lgamma(n) - math.lgamma(n + 1.0))
     if n % 2:
-        pref = -pref
-    log_q = np.log(q, out=np.zeros_like(q), where=q > 0.0)
-    return finite + pref * (log_q * sum_d + sum_e)
+        lead = -lead
+    out = np.empty_like(q)
+    start = 0
+    while start < q.size:
+        stop = min(q.size, start + _BLOCK_DOUBLES // _series_top(y[order[start]]))
+        stop = min(stop, start + _BLOCK_DOUBLES // _series_top(y[order[stop - 1]]))
+        # numpy adds up a one-column array pairwise, not in order of k: use two
+        idx = order[start:stop] if stop - start > 1 else order[[start, start]]
+        q_idx, y_idx = q[idx], y[idx]
+        top = _series_top(y_idx.max())
+        powers = np.where(_SERIES_K_MINUS_1[:top] <= y_idx, q_idx, 0.0)
+        powers[0] = 1.0
+        np.cumprod(powers, axis=0, out=powers)
+        finite, sum_d, sum_e = np.add.reduce(coef[:, :top, None] * powers, axis=1)
+        out[idx] = finite + q_idx ** n * lead * (log_q[idx] * sum_d + sum_e)
+        start = stop
+    return out
+
+
+def _series_top(y: float) -> int:
+    """Terms of the K_n series an element with that y keeps: min(60, int(y) + 2)."""
+    return min(_SERIES_TERMS, int(y) + 2)
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -379,6 +414,27 @@ def gauss_legendre_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _dot_per_rho(w: np.ndarray, grid, rho):
+    """np.dot(w, row) for each row of grid(rho[:, None]), one value per rho.
+
+    rho is a float or a 1-D array; grid maps a column of rho values to
+    their rows of len(w) values.  It is called once per block of at most
+    _BLOCK_DOUBLES // len(w) rows (at least one), and each row is reduced
+    on its own, so every value depends only on its rho; a float rho gives
+    the float of the one-row case.
+    """
+    if np.ndim(rho) > 1:
+        raise ValueError(f"rho must be a float or a 1-D array, got shape {np.shape(rho)}")
+    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    out = np.empty(rho_arr.shape)
+    step = max(1, _BLOCK_DOUBLES // w.size)
+    for start in range(0, rho_arr.size, step):
+        rows = grid(rho_arr[start:start + step, None])
+        for i, row in enumerate(rows, start):
+            out[i] = np.dot(w, row)
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
 # ---------------------------------------------------------------------------

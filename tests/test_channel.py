@@ -36,6 +36,8 @@ def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams(n_elements=4, rho=0.0)
     with pytest.raises(ValueError):
+        SystemParams(n_elements=4, rho=np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
         SystemParams(n_elements=4, blocklength=0)
     with pytest.raises(ValueError):
         SystemParams(n_elements=4, target_eps=1.0)

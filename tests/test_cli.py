@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from irslink import cli, metrics_csi, metrics_nocsi, montecarlo
 from irslink.channel import SystemParams
 from irslink.cli import MetricCurve, PRESETS, SweepSpec, emit_csv, main, run_sweep
 from irslink.montecarlo import McConfig
-from irslink.numerics import ToleranceError
+from irslink.numerics import NonConvergenceError, ToleranceError
 
 FAST_MC = McConfig(trials=50, seed=1)
 
@@ -122,6 +123,54 @@ def test_run_sweep_shape_and_values(metric, mode, method):
     if target != method:
         (t,) = run_sweep(replace(spec, methods=(target,)))
         assert t.y == c.y
+
+
+def _library_point(call, params):
+    """(value, note) of one library call, as run_sweep records it."""
+    try:
+        return call(params), ""
+    except (ToleranceError, NonConvergenceError, OverflowError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("metric,mode,method", [
+    (metric, mode, method)
+    for (metric, mode), methods in cli.VALID_METHODS.items() for method in methods
+    if method != "montecarlo"])
+def test_point_does_not_depend_on_its_curve(metric, mode, method):
+    # a rule-based curve is one batched call; -30..50 dB crosses both
+    # branches of the no-CSI CDF at every N
+    call = LIBRARY_CALLS[(metric, mode, ALIAS_TARGETS.get((metric, mode, method), method))]
+    for n in (1, 20, 64):
+        spec = small_spec(metric=metric, mode=mode, methods=(method,), n_values=(n,),
+                          snr_start_db=-30.0, snr_stop_db=50.0, snr_step_db=10.0)
+        buf = io.StringIO()
+        (curve,) = run_sweep(spec)
+        emit_csv([curve], buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert len(rows) == 9
+        for i, snr_db in enumerate(spec.snr_grid_db):
+            one = io.StringIO()
+            emit_csv(run_sweep(replace(spec, snr_start_db=snr_db, snr_stop_db=snr_db)), one)
+            assert one.getvalue().splitlines()[1:] == [rows[i]], (n, snr_db)
+            value, note = _library_point(
+                call, SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0)))
+            assert (curve.y[i], curve.notes[i]) == (value, note), (n, snr_db)
+
+
+@pytest.mark.parametrize("metric", ["adep", "adr"])
+def test_batched_sweep_memory_bounded_by_block(metric):
+    # an 81-point no-CSI curve is one call, evaluated in row blocks
+    spec = small_spec(metric=metric, methods=("numerical",), n_values=(64,),
+                      snr_start_db=-30.0, snr_stop_db=50.0, snr_step_db=1.0)
+    run_sweep(spec)  # the cached rules are built outside the measurement
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_run_sweep_montecarlo_has_error_bars():

@@ -79,6 +79,21 @@ def test_bessel_k_weighted_series_branch_continuity():
     assert abs(deep - half_gamma) <= 1e-10 * half_gamma
 
 
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 169])
+def test_bessel_k_cdf_series_is_elementwise(n):
+    # an element's value depends on its q alone: the same in a bulk call
+    # (chunked, grouped by term count), alone, and in reversed order
+    rng = np.random.default_rng(n)
+    q = np.concatenate([rng.uniform(0.0, 0.25 * n, 1000),
+                        10.0 ** rng.uniform(-300.0, math.log10(0.25 * n), 1000),
+                        [0.0, 5e-324, 0.25 * n]])
+    bulk = nx._bessel_k_cdf_series(n, q)
+    assert np.all(np.isfinite(bulk))
+    alone = np.array([nx._bessel_k_cdf_series(n, q[i:i + 1])[0] for i in range(q.size)])
+    assert np.array_equal(bulk, alone)
+    assert np.array_equal(bulk, nx._bessel_k_cdf_series(n, q[::-1].copy())[::-1])
+
+
 def test_bessel_k_weighted_overflow_raises():
     # kve(256, z) overflows at moderate z; the product (~1.5e504 here) is
     # not representable, so no value comes back and nothing warns
