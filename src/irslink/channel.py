@@ -75,10 +75,10 @@ class SystemParams:
 
     n_elements: number of reflecting elements N
     alpha, beta: per-element channel variances of the two hops
-    rho: transmit SNR P/sigma^2 (linear); the rule-based metrics (through
-        snr_average and fbl.average_error) also take a 1-D array of them
-        and return one value per rho, and the SNR CDFs broadcast an array
-        rho against x
+    rho: transmit SNR P/sigma^2 (linear); every deterministic metric but
+        the no-CSI ramp (metrics_nocsi.adep_linearized) also takes a 1-D
+        array of them and returns one value per rho, and the SNR CDFs
+        broadcast an array rho against x
     blocklength: channel uses per packet M
     target_eps: decoding error target used by rate evaluation
     packet_bits: payload size D in bits used by error evaluation
@@ -99,7 +99,10 @@ class SystemParams:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         rho = self.rho
-        if not (np.all(rho > 0.0) if isinstance(rho, np.ndarray) else rho > 0.0):
+        # a curve's rho are checked as floats: numpy's fixed cost per call
+        # would dominate the validation of a short curve
+        rhos = rho.ravel().tolist() if isinstance(rho, np.ndarray) else (rho,)
+        if not all(r > 0.0 for r in rhos):
             raise ValueError(f"rho must be > 0, got {rho}")
         if self.blocklength < 1 or self.blocklength != int(self.blocklength):
             raise ValueError(f"blocklength must be a positive integer, got {self.blocklength}")

@@ -69,12 +69,14 @@ def _sampled(estimator):
 
 
 def _batched(metric):
-    """Curve evaluator of a rule-based metric(params): one call for the whole rho vector.
+    """Curve evaluator of a deterministic metric(params, rs_convention): one call per curve.
 
-    If that call fails, every point of the curve carries its note.
+    The call gets the whole rho vector and returns one value per rho.  If
+    it fails, every point of the curve carries its note.
     """
     def evaluate(spec, n, rhos):
-        values, _, note = _point(lambda: (metric(spec._params(n, np.array(rhos))), None))
+        values, _, note = _point(
+            lambda: (metric(spec._params(n, np.array(rhos)), spec.rs_convention), None))
         if note:
             return [(None, None, note)] * len(rhos)
         return [(float(v), None, "") for v in values]
@@ -84,42 +86,44 @@ def _batched(metric):
 # Evaluators shared by a method and its alias.  Every evaluator looks its
 # library function up through the module when called, so code that swaps a
 # module attribute (tests, tracing) reaches the sweep.
-_adr_nocsi_lower = _batched(lambda p: metrics_nocsi.adr_lower_bound(p))
-_adr_nocsi_upper = _batched(lambda p: metrics_nocsi.adr_upper_bound(p))
-_adr_csi_closed = _exact(lambda p, rs: metrics_csi.adr_closed_form(p))
+_adr_nocsi_lower = _batched(lambda p, rs: metrics_nocsi.adr_lower_bound(p))
+_adr_nocsi_upper = _batched(lambda p, rs: metrics_nocsi.adr_upper_bound(p))
+_adr_csi_closed = _batched(lambda p, rs: metrics_csi.adr_closed_form(p))
 
 # (metric, mode) -> {method: evaluator(spec, n, rhos) -> [(value|None, stderr|None,
-# note)] per rho}; the rule-based methods are _batched, the others _per_point.
+# note)] per rho}.  Every deterministic method is _batched, one call per
+# curve, except the no-CSI ramp (adaptive quadrature, one rho per call),
+# which is _exact; Monte-Carlo is _sampled.  Both of those run per point.
 _EVALUATORS = {
     ("adr", "nocsi"): {
-        "numerical": _batched(lambda p: metrics_nocsi.adr_numerical(p)),
+        "numerical": _batched(lambda p, rs: metrics_nocsi.adr_numerical(p)),
         "lower_bound": _adr_nocsi_lower,
         "upper_bound": _adr_nocsi_upper,
         "approx": _adr_nocsi_lower,
-        "asymptotic": _exact(lambda p, rs: metrics_nocsi.adr_asymptotic(p)),
+        "asymptotic": _batched(lambda p, rs: metrics_nocsi.adr_asymptotic(p)),
         "shannon": _adr_nocsi_upper,
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "nocsi", mc)),
     },
     ("adr", "csi"): {
-        "numerical": _batched(lambda p: metrics_csi.adr_numerical_gamma(p)),
+        "numerical": _batched(lambda p, rs: metrics_csi.adr_numerical_gamma(p)),
         "closed_form": _adr_csi_closed,
         "approx": _adr_csi_closed,
-        "asymptotic": _exact(lambda p, rs: metrics_csi.adr_simplified(p)),
-        "shannon": _batched(lambda p: metrics_csi.shannon_gamma(p)),
+        "asymptotic": _batched(lambda p, rs: metrics_csi.adr_simplified(p)),
+        "shannon": _batched(lambda p, rs: metrics_csi.shannon_gamma(p)),
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "csi", mc)),
     },
     ("adep", "nocsi"): {
-        "numerical": _batched(lambda p: metrics_nocsi.adep_numerical(p)),
+        "numerical": _batched(lambda p, rs: metrics_nocsi.adep_numerical(p)),
         "linearized": _exact(lambda p, rs: metrics_nocsi.adep_linearized(p)),
-        "approx": _exact(lambda p, rs: metrics_nocsi.adep_approx(p)),
-        "asymptotic": _exact(
+        "approx": _batched(lambda p, rs: metrics_nocsi.adep_approx(p)),
+        "asymptotic": _batched(
             lambda p, rs: metrics_nocsi.adep_asymptotic(p, rs_convention=rs)),
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "nocsi", mc)),
     },
     ("adep", "csi"): {
-        "numerical": _batched(lambda p: metrics_csi.adep_numerical(p)),
-        "linearized": _exact(lambda p, rs: metrics_csi.adep_linearized(p)),
-        "asymptotic": _exact(
+        "numerical": _batched(lambda p, rs: metrics_csi.adep_numerical(p)),
+        "linearized": _batched(lambda p, rs: metrics_csi.adep_linearized(p)),
+        "asymptotic": _batched(
             lambda p, rs: metrics_csi.adep_asymptotic(p, rs_convention=rs)),
         "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "csi", mc)),
     },

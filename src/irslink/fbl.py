@@ -237,13 +237,17 @@ def linearization_params(blocklength: int, bits: float) -> LinearizationParams:
     return LinearizationParams(slope_mu=mu, center_x0=x0)
 
 
-def _ramp_average(cdf, lp: LinearizationParams, moment_term: float) -> float:
-    """Ramp-averaged error F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - moment_term, in [0, 1].
+def _ramp_average(cdf, params, lp: LinearizationParams, moment_term):
+    """Ramp-averaged error F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - moment_term per rho, in [0, 1].
 
-    moment_term is mu int_lo^hi x f(x) dx; cdf is called once, on [lo, hi].
+    moment_term is mu int_lo^hi x f(x) dx, a float or one value per rho.
+    cdf(x, params) is called once, on the knee column [[lo], [hi]], which
+    broadcasts against params.rho (a float or a 1-D array); the result is a
+    float or one value per rho.
     """
-    f_lo, f_hi = cdf(np.array([lp.knee_lo, lp.knee_hi])).tolist()
-    return _clamp_prob(f_lo + (0.5 + lp.slope_mu * lp.center_x0) * (f_hi - f_lo) - moment_term)
+    f_lo, f_hi = cdf(np.array([[lp.knee_lo], [lp.knee_hi]]), params)
+    val = _clamp_prob(f_lo + (0.5 + lp.slope_mu * lp.center_x0) * (f_hi - f_lo) - moment_term)
+    return float(val[0]) if np.ndim(params.rho) == 0 else val
 
 
 def linearized_q(x, lp: LinearizationParams):

@@ -5,23 +5,30 @@ product |g||h|: the co-phased SNR is modeled as rho * XI^2 with
 XI ~ Gamma(N k, theta).  The "numerical" rate and error average the exact
 rate or error curve over that law on the fixed rules shared with the
 no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
-ADEP); like the Shannon average, they take a 1-D array of rho in
-params.rho and return one value per rho.  The closed forms below combine
-incomplete gammas, digammas and generalized hypergeometric values;
-everything is assembled in log magnitude where factors would otherwise
-overflow.
+ADEP).  The closed forms below combine incomplete gammas, digammas and
+generalized hypergeometric values; everything is assembled in log
+magnitude where factors would otherwise overflow.  Every metric takes a
+float or a 1-D array in params.rho and returns a float or one value per
+rho, each value depending on its own rho alone.
+
+The rate closed form is an identity, not an approximation: it equals the
+Gamma-model Shannon average minus the rate penalty at unit dispersion,
+shannon_gamma - Qinv(eps)/(sqrt(M) ln2), to rounding (within 5e-16
+relative from 10 dB up at N = 1, 2, 3, 8, 20, 64, 256 and 1024).  Its gap
+to adr_numerical_gamma is the dispersion term, which grows as N k
+shrinks, not an error.
 
 The sec/csc factors of the rate closed form have poles at integer
 a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
 on a pole, but it comes within POLE_GUARD of one for some physical N
 (1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
-back to the numerical rate.  It falls back the same
-way at low SNR, where cancellation in and among its pFq terms costs more
-than DIGITS_LOST_MAX of the 16 digits (about -18 dB and below).
+back to the value of its identity.  It falls back the same way at low
+SNR, where cancellation in and among its pFq terms costs more than
+DIGITS_LOST_MAX of the 16 digits (about -18 dB and below).
 
-Both fallbacks are logged as warnings on the irslink.metrics_csi logger,
-the only record of them; nothing is counted.  Probability outputs are
-clamped to [0, 1] by fbl._clamp_prob, silently.
+A call that falls back logs one warning on the irslink.metrics_csi
+logger, the only record of it; nothing is counted.  Probability outputs
+are clamped to [0, 1] by fbl._clamp_prob, silently.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .channel import (
 from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
 from .numerics import (
     EULER_GAMMA,
+    _per_rho,
     digamma,
     hyp_pfq,
     reg_gamma_lower,
@@ -69,9 +78,9 @@ DIGITS_LOST_MAX = 8.0
 logger = logging.getLogger(__name__)
 
 
-def _log_rate_lead(a: float, theta: float, rho: float) -> float:
+def _log_rate_lead(psi_a: float, theta: float, rho: float) -> float:
     """2 (psi(a) - ln(1/(theta sqrt(rho)))) / ln2, the log term of both rate forms."""
-    return 2.0 * (digamma(a) - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
+    return 2.0 * (psi_a - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +98,8 @@ def shannon_gamma(params: SystemParams):
     return snr_average(lambda x: np.log2(1.0 + x), params, "csi")
 
 
-def adr_closed_form(params: SystemParams) -> float:
-    """Closed-form average rate with hypergeometric correction terms.
+def adr_closed_form(params: SystemParams):
+    """Closed-form average rate, per rho, with hypergeometric correction terms.
 
     Assembles, per unit of the density normalization 2 rho^(a/2) theta^a
     Gamma(a) with a = N k:
@@ -102,55 +111,86 @@ def adr_closed_form(params: SystemParams) -> float:
       - Qinv(eps) / (sqrt(M) ln2)
 
     with z = -1/(4 rho theta^2) and s1, s2 the log-domain scale factors.
-    Within POLE_GUARD of a sec/csc pole the closed form is abandoned for
-    adr_numerical_gamma; the fallback is logged.  At low SNR the
+    The first four terms are the Gamma-model Shannon average E[log2(1+X)]
+    and the last is the rate penalty at unit dispersion, so the closed form
+    is exactly shannon_gamma(params) - Qinv(eps)/(sqrt(M) ln2): the Shannon
+    average minus the worst-case penalty, the CSI twin of the no-CSI
+    adr_lower_bound.  It lies below adr_numerical_gamma by the dispersion
+    term E[(1 - sqrt(V(X))) Qinv(eps)/sqrt(M)]/ln2, which is not small
+    where the SNR is often near 0 (small N k, low SNR): at 0 dB it is 0.20
+    bits at N = 1.
+
+    params.rho is a float or a 1-D array; the result is a float or one
+    value per rho.  Each rho sums its own three pFq series, so the closed
+    form is assembled per rho.  Where it cannot be trusted it is replaced by
+    the value of the identity above, shannon_gamma - penalty, computed in
+    one call for all such rho: within POLE_GUARD of a sec/csc pole (every
+    rho, since a does not depend on rho), and at low SNR, where the
     alternating series cancel (hyp_pfq reports max|term| / |sum|) and so do
-    the large terms t1..t3 among themselves; where the two together cost
-    more than DIGITS_LOST_MAX of the 16 digits it falls back the same way,
-    logged.
+    the large terms t1..t3 among themselves, and the two together cost more
+    than DIGITS_LOST_MAX of the 16 digits (a non-finite closed form counts
+    as all of them).  A call that falls back logs one warning with the
+    count and the z range.
     """
     a, theta = _gamma_law(params)
+    penalty = _rate_penalty(params.blocklength, params.target_eps)
+    rho = np.atleast_1d(np.asarray(params.rho, dtype=float))
     half_pi_a = 0.5 * math.pi * a
     if min(abs(math.sin(half_pi_a)), abs(math.cos(half_pi_a))) < POLE_GUARD:
         logger.warning(
-            "closed-form rate near sec/csc pole (a=%g); falling back to quadrature", a)
-        return adr_numerical_gamma(params)
+            "closed-form rate near sec/csc pole (a=%g); all %d rho fall back to the "
+            "Shannon average minus the penalty", a, rho.size)
+        return shannon_gamma(params) - penalty
 
-    rho = params.rho
+    psi_a = float(digamma(a))
+    val = _per_rho(lambda r: _closed_form_point(a, theta, psi_a, r, penalty), rho)
+    fall = ~np.isfinite(val)
+    if fall.any():
+        z = -0.25 / (rho[fall] * theta * theta)
+        logger.warning(
+            "closed-form rate loses more than %g of 16 digits to cancellation at %d of %d "
+            "rho (a=%g, z from %g to %g); they fall back to the Shannon average minus the "
+            "penalty", DIGITS_LOST_MAX, fall.sum(), rho.size, a, z.min(), z.max())
+        val[fall] = shannon_gamma(replace(params, rho=rho[fall])) - penalty
+    return float(val[0]) if np.ndim(params.rho) == 0 else val
+
+
+def _closed_form_point(a: float, theta: float, psi_a: float, rho: float,
+                       penalty: float) -> float:
+    """Closed-form rate at one rho (see adr_closed_form), nan where it cannot be trusted.
+
+    psi_a is digamma(a).  nan marks a value whose pFq series and terms
+    cancel by more than DIGITS_LOST_MAX digits, or that is not finite.
+    """
     z = -0.25 / (rho * theta * theta)
-
     f23, c23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z,
                        with_cancellation=True)
     f12_sec, c_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z,
                              with_cancellation=True)
     f12_csc, c_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z, with_cancellation=True)
 
+    half_pi_a = 0.5 * math.pi * a
     t1 = f23 / (_LN2 * (a - 1.0) * (a - 2.0) * rho * theta * theta)
     log_s1 = -(0.5 * (a + 1.0) * math.log(rho) + (a + 1.0) * math.log(theta)
                + math.lgamma(a))
     t2 = -math.pi / math.cos(half_pi_a) * f12_sec * math.exp(log_s1) / ((a + 1.0) * _LN2)
     log_s2 = -(0.5 * a * math.log(rho) + a * math.log(theta) + math.lgamma(a))
     t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
-    t45 = _log_rate_lead(a, theta, rho)
-    penalty = _rate_penalty(params.blocklength, params.target_eps)
+    t45 = _log_rate_lead(psi_a, theta, rho)
     val = t1 + t2 + t3 + t45 - penalty
     # rounding of each series is amplified by its own cancellation and then
     # by the cancellation among the terms
     spread = abs(t1) * c23 + abs(t2) * c_sec + abs(t3) * c_csc + abs(t45) + penalty
     lost = math.log10(spread / abs(val)) if val != 0.0 else math.inf
-    if lost > DIGITS_LOST_MAX:
-        logger.warning(
-            "closed-form rate loses %.1f of 16 digits to cancellation (a=%g, z=%g); "
-            "falling back to quadrature", lost, a, z)
-        return adr_numerical_gamma(params)
-    return val
+    return val if lost <= DIGITS_LOST_MAX else math.nan
 
 
-def adr_simplified(params: SystemParams) -> float:
-    """Log-approximated average rate, 2(psi(a) - ln(1/(theta sqrt(rho))))/ln2 - penalty."""
+def adr_simplified(params: SystemParams):
+    """Log-approximated average rate per rho, 2(psi(a) - ln(1/(theta sqrt(rho))))/ln2 - penalty."""
     a, theta = _gamma_law(params)
-    return (_log_rate_lead(a, theta, params.rho)
-            - _rate_penalty(params.blocklength, params.target_eps))
+    psi_a = float(digamma(a))
+    penalty = _rate_penalty(params.blocklength, params.target_eps)
+    return _per_rho(lambda r: _log_rate_lead(psi_a, theta, r) - penalty, params.rho)
 
 
 def rate_gap(params: SystemParams) -> float:
@@ -170,9 +210,9 @@ def rate_gap(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def _knee_args(lp: fbl.LinearizationParams, rho: float, theta: float) -> tuple[float, float]:
-    """Gamma-model arguments u = sqrt(x/rho)/theta at the ramp knees lo and hi."""
-    return math.sqrt(lp.knee_lo / rho) / theta, math.sqrt(lp.knee_hi / rho) / theta
+def _knee_args(lp: fbl.LinearizationParams, rho, theta: float):
+    """Gamma-model arguments u = sqrt(x/rho)/theta at the ramp knees lo and hi, per rho."""
+    return np.sqrt(lp.knee_lo / rho) / theta, np.sqrt(lp.knee_hi / rho) / theta
 
 
 def adep_numerical(params: SystemParams):
@@ -180,8 +220,8 @@ def adep_numerical(params: SystemParams):
     return _clamp_prob(fbl.average_error(snr_cdf_csi, params))
 
 
-def adep_linearized(params: SystemParams) -> float:
-    """Ramp-averaged error under the Gamma model, fully closed form.
+def adep_linearized(params: SystemParams):
+    """Ramp-averaged error under the Gamma model, per rho, fully closed form.
 
     This is mu int_lo^hi F(x) dx, the by-parts ramp average that the no-CSI
     adep_linearized integrates numerically, written with the CDF at the
@@ -193,14 +233,15 @@ def adep_linearized(params: SystemParams) -> float:
       mu rho theta^2 a (a+1) [P(a+2, u(hi)) - P(a+2, u(lo))]
 
     which is evaluated through regularized lower gammas to dodge the
-    cancellation of near-equal upper gammas at high SNR.
+    cancellation of near-equal upper gammas at high SNR.  The CDF is called
+    once, on the (rho, knee) grid.
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     a, theta = _gamma_law(params)
     u_lo, u_hi = _knee_args(lp, params.rho, theta)
     delta_p = reg_gamma_lower(a + 2.0, u_hi) - reg_gamma_lower(a + 2.0, u_lo)
     moment_term = lp.slope_mu * params.rho * theta * theta * a * (a + 1.0) * delta_p
-    return _ramp_average(lambda x: snr_cdf_csi(x, params), lp, moment_term)
+    return _ramp_average(snr_cdf_csi, params, lp, moment_term)
 
 
 def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = None,
@@ -242,8 +283,8 @@ def _tail_series(a: float, blocklength: int, rate: float) -> tuple[float, float]
 
 
 def adep_asymptotic(params: SystemParams, form: str = "two_term",
-                    rs_convention: str = "nats") -> float:
-    """High-SNR error under the Gamma model.
+                    rs_convention: str = "nats"):
+    """High-SNR error under the Gamma model, per rho.
 
     form='two_term' (default): both confluent hypergeometric terms of the
     tail expansion, scaling as (alpha beta rho)^(-a/2) with a = N k.
@@ -260,25 +301,28 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
     f_a, f_b = _tail_series(a, m, rs)
+    alpha, beta = params.alpha, params.beta
     if form == "single_term":
-        rab = params.rho * params.alpha * params.beta
-        log_val = ((1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
-                   + math.lgamma(0.25 * a) - math.lgamma(a)
-                   + (0.5 - a) * math.log(rab))
-        return f_a * math.exp(log_val)
+        return _per_rho(lambda r: f_a * math.exp(
+            (1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
+            + math.lgamma(0.25 * a) - math.lgamma(a)
+            + (0.5 - a) * math.log(r * alpha * beta)), params.rho)
     if form != "two_term":
         raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
-    rho = params.rho
-    log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
-                - 0.5 * a * math.log(rho) - a * math.log(theta) - math.lgamma(a))
-    term_a = math.sqrt(2.0) * f_a * math.exp(log_pref + math.lgamma(0.25 * a))
-    term_b = (2.0 * math.sqrt(m) * rs * f_b
-              * math.exp(log_pref + math.lgamma(0.25 * (a + 2.0))))
-    return term_a + term_b
+
+    def two_term(r):
+        log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
+                    - 0.5 * a * math.log(r) - a * math.log(theta) - math.lgamma(a))
+        term_a = math.sqrt(2.0) * f_a * math.exp(log_pref + math.lgamma(0.25 * a))
+        term_b = (2.0 * math.sqrt(m) * rs * f_b
+                  * math.exp(log_pref + math.lgamma(0.25 * (a + 2.0))))
+        return term_a + term_b
+
+    return _per_rho(two_term, params.rho)
 
 
-def adep_ratio(params: SystemParams, rs_convention: str = "nats") -> float:
-    """CSI-to-no-CSI ratio of the asymptotic error probabilities.
+def adep_ratio(params: SystemParams, rs_convention: str = "nats"):
+    """CSI-to-no-CSI ratio of the asymptotic error probabilities, per rho.
 
     Quotient of the two-term CSI asymptote and the no-CSI asymptote, so the
     SNR scaling is exactly (alpha beta rho)^(1 - a/2).

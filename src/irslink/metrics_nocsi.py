@@ -16,7 +16,11 @@ Each metric exists in up to three strengths:
 
 The Shannon average (upper bound) runs on the same ADR rule.  The ramp
 average is, by parts, mu times the integral of the CDF between the knees;
-it is the one adaptive quadrature left here.
+it is the one adaptive quadrature left here, and adep_linearized the one
+metric that takes a single rho.  Every other one takes a float or a 1-D
+array in params.rho and returns a float or one value per rho: the
+closed-form ramp calls the CDF once, on the (rho, knee) grid, and the
+asymptotes are elementwise in rho.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .numerics import (  # noqa: F401
     DomainError,
     EULER_GAMMA,
     QuadratureSpec,
+    _per_rho,
     digamma,
     integrate_interval,
     integrate_semi_infinite,
@@ -80,15 +85,18 @@ def adr_lower_bound(params: SystemParams):
     return adr_upper_bound(params) - _rate_penalty(params.blocklength, params.target_eps)
 
 
-def adr_asymptotic(params: SystemParams) -> float:
-    """High-SNR rate: (H_{N-1} + ln(alpha beta rho) - Qinv(eps)/sqrt(M) - 2 g0) / ln2.
+def adr_asymptotic(params: SystemParams):
+    """High-SNR rate, per rho: (H_{N-1} + ln(alpha beta rho) - Qinv(eps)/sqrt(M) - 2 g0) / ln2.
 
     The harmonic number is read through the digamma identity
     H_{N-1} = psi(N) + g0.
     """
-    rab = params.rho * params.alpha * params.beta
-    return ((digamma(params.n_elements) + EULER_GAMMA + math.log(rab) - 2.0 * EULER_GAMMA)
-            / _LN2 - _rate_penalty(params.blocklength, params.target_eps))
+    lead = float(digamma(params.n_elements)) + EULER_GAMMA
+    alpha, beta = params.alpha, params.beta
+    penalty = _rate_penalty(params.blocklength, params.target_eps)
+    return _per_rho(
+        lambda r: (lead + math.log(r * alpha * beta) - 2.0 * EULER_GAMMA) / _LN2 - penalty,
+        params.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +121,8 @@ def adep_linearized(params: SystemParams) -> float:
     return _clamp_prob(lp.slope_mu * ramp)
 
 
-def adep_approx(params: SystemParams) -> float:
-    """Closed-form ramp error with the two-term small-argument Bessel kernel.
+def adep_approx(params: SystemParams):
+    """Closed-form ramp error, per rho, with the two-term small-argument Bessel kernel.
 
     Written with the CDF at the knees lo (clamped at 0) and hi, the ramp
     average is F(lo) + (1/2 + mu x0)(F(hi) - F(lo)) - mu int_lo^hi x f(x) dx.
@@ -134,16 +142,20 @@ def adep_approx(params: SystemParams) -> float:
             f"adep_approx needs n_elements >= 3 (factorials of N-2 and N-3), got {n}"
         )
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    lo, hi = lp.knee_lo, lp.knee_hi
-    rab = params.rho * params.alpha * params.beta
+    lo, hi, mu = lp.knee_lo, lp.knee_hi, lp.slope_mu
+    alpha, beta = params.alpha, params.beta
     df2 = 0.5 * (hi * hi - lo * lo)
     df1 = (hi ** 3 - lo ** 3) / 3.0
-    moment_term = lp.slope_mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
-    return _ramp_average(lambda x: snr_cdf_nocsi(x, params), lp, moment_term)
+
+    def moment(r):
+        rab = r * alpha * beta
+        return mu * (df2 / (n - 1.0) - df1 / ((n - 1.0) * (n - 2.0) * rab)) / rab
+
+    return _ramp_average(snr_cdf_nocsi, params, lp, _per_rho(moment, params.rho))
 
 
-def adep_asymptotic(params: SystemParams, rs_convention: str = "nats") -> float:
-    """High-SNR error, sqrt(2 pi) e^(1/(2M)+r) / (2 sqrt(M) (N-1) alpha beta rho).
+def adep_asymptotic(params: SystemParams, rs_convention: str = "nats"):
+    """High-SNR error, per rho, sqrt(2 pi) e^(1/(2M)+r) / (2 sqrt(M) (N-1) alpha beta rho).
 
     r is the per-use rate under the chosen convention; the scaling in
     (alpha beta rho) is exactly -1 (diversity order one: density mass at the
@@ -153,6 +165,7 @@ def adep_asymptotic(params: SystemParams, rs_convention: str = "nats") -> float:
     if n < 2:
         raise DomainError(f"adep_asymptotic needs n_elements >= 2, got {n}")
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
-    rab = params.rho * params.alpha * params.beta
-    return (math.sqrt(2.0 * math.pi) * math.exp(0.5 / m + rs)
-            / (2.0 * math.sqrt(m) * (n - 1.0) * rab))
+    alpha, beta = params.alpha, params.beta
+    coef = math.sqrt(2.0 * math.pi) * math.exp(0.5 / m + rs)
+    scale = 2.0 * math.sqrt(m) * (n - 1.0)
+    return _per_rho(lambda r: coef / (scale * (r * alpha * beta)), params.rho)

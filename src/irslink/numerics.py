@@ -18,8 +18,9 @@ through this module, so the contracts here are deliberately strict:
     product where scipy's scaled kve overflows;
   - the metric integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration, and
-    _dot_per_rho reduces a whole vector of rho on them in row blocks; the
-    adaptive Gauss-Kronrod engine (integrate_interval,
+    _dot_per_rho reduces a whole vector of rho on them in row blocks
+    (_per_rho maps the closed forms' float formulas over such a vector);
+    the adaptive Gauss-Kronrod engine (integrate_interval,
     integrate_semi_infinite) remains for the no-CSI ramp integral of the
     CDF and as the tight reference in tests.
 
@@ -435,6 +436,28 @@ def _dot_per_rho(w: np.ndarray, grid, rho):
         for i, row in enumerate(rows, start):
             out[i] = np.dot(w, row)
     return float(out[0]) if np.ndim(rho) == 0 else out
+
+
+def _per_rho(formula, rho):
+    """formula(r) at the float rho, or one value per element r of the 1-D array rho.
+
+    The closed forms and asymptotes are a few float operations per rho, so
+    a curve maps them in float arithmetic rather than through numpy, whose
+    fixed cost per call outweighs them on short curves, and whose exp and
+    log round differently from math's in the last bit for a few percent of
+    arguments: a curve's values are bit for bit those of its scalar calls.
+    Where formula overflows (math.exp raises) the value is inf, so that rho
+    fails alone.
+    """
+    def one(r):
+        try:
+            return formula(r)
+        except OverflowError:
+            return math.inf
+
+    if np.ndim(rho) == 0:
+        return one(float(rho))
+    return np.array([one(r) for r in rho.tolist()])
 
 
 # ---------------------------------------------------------------------------

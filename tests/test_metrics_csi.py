@@ -42,16 +42,31 @@ def test_adr_numerical_gamma_vs_monte_carlo():
     assert abs(est.value - quad) < 2.0 * est.stderr
 
 
+def _shannon_minus_penalty(p):
+    """The value adr_closed_form equals: the Shannon average minus the unit-dispersion penalty."""
+    return mc.shannon_gamma(p) - fbl._rate_penalty(p.blocklength, p.target_eps)
+
+
 def test_adr_closed_form_matches_quadrature(caplog):
-    for n in (10, 20):
-        for rho in (1.0, 10.0, 100.0):
-            p = SystemParams(n_elements=n, rho=rho)
+    # the closed form is the Gamma-model Shannon average on the log-y rule
+    # minus Qinv(eps)/(sqrt(M) ln2); where it falls back it is that value
+    for n in (1, 2, 8, 20, 64):
+        curve = []
+        for snr_db in range(-30, 51):
+            p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
+            caplog.clear()
             with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
                 cf = mc.adr_closed_form(p)
-            ng = mc.adr_numerical_gamma(p)
-            assert abs(cf - ng) <= 1e-4 * abs(ng), (n, rho)
-            assert cf != ng, (n, rho)  # the closed form itself, not a fallback
-    assert not caplog.records
+            ref = _shannon_minus_penalty(p)
+            if caplog.records:
+                assert snr_db < 10 and cf == ref, (n, snr_db)
+            else:
+                tol = 1e-13 if snr_db >= 10 else 1e-6
+                assert abs(cf - ref) <= tol * abs(ref), (n, snr_db, cf, ref)
+            curve.append(cf)
+        if n == 1:
+            # the fallback used to be the short-packet rate average, a jump
+            assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
 def test_adr_closed_form_median_eps_drops_penalty():
@@ -69,7 +84,7 @@ def test_adr_closed_form_pole_fallback(caplog):
     assert len(caplog.records) == 1
     assert caplog.records[0].levelno == logging.WARNING
     assert "pole" in caplog.records[0].message
-    assert val == mc.adr_numerical_gamma(p)
+    assert val == _shannon_minus_penalty(p)
 
 
 def test_adr_closed_form_cancellation_fallback(caplog):
@@ -81,7 +96,7 @@ def test_adr_closed_form_cancellation_fallback(caplog):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
             val = mc.adr_closed_form(p)
-        assert val == mc.adr_numerical_gamma(p), snr_db
+        assert val == _shannon_minus_penalty(p), snr_db
         assert len(caplog.records) == 1 and "digits" in caplog.records[0].message
     # at -15 dB the closed form keeps its digits: it matches the same
     # formula summed at 80 digits by mpmath (hyper, loggamma, digamma)
@@ -91,6 +106,17 @@ def test_adr_closed_form_cancellation_fallback(caplog):
         val = mc.adr_closed_form(p)
     assert not caplog.records
     assert abs(val - 2.53522511197673) <= 1e-9 * val
+
+
+def test_adr_closed_form_curve_logs_one_warning(caplog):
+    # an 81-point N = 1 curve falls back at its 13 lowest SNRs in one call
+    rho = 10.0 ** (np.arange(-30.0, 51.0) / 10.0)
+    p = SystemParams(n_elements=1, rho=rho)
+    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+        curve = mc.adr_closed_form(p)
+    assert len(caplog.records) == 1
+    assert "13 of 81 rho" in caplog.records[0].message
+    assert list(curve) == [mc.adr_closed_form(_at(p, rho=r)) for r in rho.tolist()]
 
 
 def test_adr_simplified_reference():

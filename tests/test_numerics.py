@@ -253,6 +253,18 @@ def test_gauss_legendre_panels_domain():
         nx.gauss_legendre_panels([0.0, 1.0], 0)
 
 
+def test_per_rho_maps_a_float_formula():
+    # a curve's values are those of its scalar calls: math's exp, not
+    # numpy's, which rounds differently in the last bit for some arguments
+    x = np.linspace(-700.0, 700.0, 1001)
+    assert nx._per_rho(math.exp, x).tolist() == [math.exp(v) for v in x.tolist()]
+    one = nx._per_rho(math.log, np.float64(3.0))
+    assert isinstance(one, float) and one == math.log(3.0)
+    # a rho where the formula overflows is inf, alone
+    assert nx._per_rho(math.exp, np.array([1.0, 710.0])).tolist() == [math.e, math.inf]
+    assert nx._per_rho(math.exp, 710.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
