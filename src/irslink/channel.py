@@ -99,10 +99,7 @@ class SystemParams:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         rho = self.rho
-        # a curve's rho are checked as floats: numpy's fixed cost per call
-        # would dominate the validation of a short curve
-        rhos = rho.ravel().tolist() if isinstance(rho, np.ndarray) else (rho,)
-        if not all(r > 0.0 for r in rhos):
+        if not (np.all(rho > 0.0) if isinstance(rho, np.ndarray) else rho > 0.0):
             raise ValueError(f"rho must be > 0, got {rho}")
         if self.blocklength < 1 or self.blocklength != int(self.blocklength):
             raise ValueError(f"blocklength must be a positive integer, got {self.blocklength}")

@@ -24,7 +24,8 @@ on a pole, but it comes within POLE_GUARD of one for some physical N
 (1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
 back to the value of its identity.  It falls back the same way at low
 SNR, where cancellation in and among its pFq terms costs more than
-DIGITS_LOST_MAX of the 16 digits (about -18 dB and below).
+DIGITS_LOST_MAX of the 16 digits (about -18 dB and below), and where the
+terms of a series overflow (|z| of order 1e5).
 
 A call that falls back logs one warning on the irslink.metrics_csi
 logger, the only record of it; nothing is counted.  Probability outputs
@@ -52,6 +53,7 @@ from .channel import (
 from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
 from .numerics import (
     EULER_GAMMA,
+    NonConvergenceError,
     _per_rho,
     digamma,
     hyp_pfq,
@@ -128,9 +130,9 @@ def adr_closed_form(params: SystemParams):
     rho, since a does not depend on rho), and at low SNR, where the
     alternating series cancel (hyp_pfq reports max|term| / |sum|) and so do
     the large terms t1..t3 among themselves, and the two together cost more
-    than DIGITS_LOST_MAX of the 16 digits (a non-finite closed form counts
-    as all of them).  A call that falls back logs one warning with the
-    count and the z range.
+    than DIGITS_LOST_MAX of the 16 digits (a non-finite closed form, or a
+    series whose terms overflow, counts as all of them).  A call that falls
+    back logs one warning with the count and the z range.
     """
     a, theta = _gamma_law(params)
     penalty = _rate_penalty(params.blocklength, params.target_eps)
@@ -160,22 +162,28 @@ def _closed_form_point(a: float, theta: float, psi_a: float, rho: float,
     """Closed-form rate at one rho (see adr_closed_form), nan where it cannot be trusted.
 
     psi_a is digamma(a).  nan marks a value whose pFq series and terms
-    cancel by more than DIGITS_LOST_MAX digits, or that is not finite.
+    cancel by more than DIGITS_LOST_MAX digits, or that is not finite: a
+    series whose terms overflow (very negative z) or a scale factor that
+    overflows has lost every digit.
     """
     z = -0.25 / (rho * theta * theta)
-    f23, c23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z,
-                       with_cancellation=True)
-    f12_sec, c_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z,
-                             with_cancellation=True)
-    f12_csc, c_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z, with_cancellation=True)
-
     half_pi_a = 0.5 * math.pi * a
-    t1 = f23 / (_LN2 * (a - 1.0) * (a - 2.0) * rho * theta * theta)
-    log_s1 = -(0.5 * (a + 1.0) * math.log(rho) + (a + 1.0) * math.log(theta)
-               + math.lgamma(a))
-    t2 = -math.pi / math.cos(half_pi_a) * f12_sec * math.exp(log_s1) / ((a + 1.0) * _LN2)
-    log_s2 = -(0.5 * a * math.log(rho) + a * math.log(theta) + math.lgamma(a))
-    t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
+    try:
+        f23, c23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z,
+                           with_cancellation=True)
+        f12_sec, c_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z,
+                                 with_cancellation=True)
+        f12_csc, c_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z,
+                                 with_cancellation=True)
+        t1 = f23 / (_LN2 * (a - 1.0) * (a - 2.0) * rho * theta * theta)
+        log_s1 = -(0.5 * (a + 1.0) * math.log(rho) + (a + 1.0) * math.log(theta)
+                   + math.lgamma(a))
+        t2 = (-math.pi / math.cos(half_pi_a) * f12_sec * math.exp(log_s1)
+              / ((a + 1.0) * _LN2))
+        log_s2 = -(0.5 * a * math.log(rho) + a * math.log(theta) + math.lgamma(a))
+        t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
+    except (NonConvergenceError, OverflowError):
+        return math.nan
     t45 = _log_rate_lead(psi_a, theta, rho)
     val = t1 + t2 + t3 + t45 - penalty
     # rounding of each series is amplified by its own cancellation and then

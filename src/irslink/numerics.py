@@ -331,7 +331,8 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
 
     Stops once |term| / |partial sum| < 1e-15 for two consecutive terms
     (a single small term can be an accidental sign-change zero); raises
-    NonConvergenceError after 10^6 terms.
+    NonConvergenceError once a term overflows (the sum can no longer be
+    finite) or after 10^6 terms.
 
     with_cancellation=True returns (value, max|term| / |sum|): the sum
     keeps about 16 - log10 of that ratio significant digits.
@@ -358,6 +359,9 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
             mag = abs(term)
             if mag > largest:
                 largest = mag
+                if mag == math.inf:
+                    raise NonConvergenceError(
+                        f"pFq({a_list}; {b_list}; {z}) overflowed at term {k + 1}")
             if mag < _PFQ_REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 2:
@@ -446,17 +450,18 @@ def _per_rho(formula, rho):
     fixed cost per call outweighs them on short curves, and whose exp and
     log round differently from math's in the last bit for a few percent of
     arguments: a curve's values are bit for bit those of its scalar calls.
-    Where formula overflows (math.exp raises) the value is inf, so that rho
-    fails alone.
+    A float rho raises what formula raises; in an array, a rho where
+    formula overflows (math.exp raises) gets inf, so that rho fails alone.
     """
+    if np.ndim(rho) == 0:
+        return formula(float(rho))
+
     def one(r):
         try:
             return formula(r)
         except OverflowError:
             return math.inf
 
-    if np.ndim(rho) == 0:
-        return one(float(rho))
     return np.array([one(r) for r in rho.tolist()])
 
 

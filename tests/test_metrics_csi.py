@@ -47,10 +47,15 @@ def _shannon_minus_penalty(p):
     return mc.shannon_gamma(p) - fbl._rate_penalty(p.blocklength, p.target_eps)
 
 
+# highest SNR (dB) at which the closed form falls back, per N: its
+# digits-lost guard trips at every SNR up to there and at none above
+_CLOSED_FORM_FALLBACK_MAX_DB = {1: -18, 2: -16, 8: -14, 20: -17, 64: -25}
+
+
 def test_adr_closed_form_matches_quadrature(caplog):
     # the closed form is the Gamma-model Shannon average on the log-y rule
     # minus Qinv(eps)/(sqrt(M) ln2); where it falls back it is that value
-    for n in (1, 2, 8, 20, 64):
+    for n, fallback_max_db in _CLOSED_FORM_FALLBACK_MAX_DB.items():
         curve = []
         for snr_db in range(-30, 51):
             p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
@@ -58,8 +63,9 @@ def test_adr_closed_form_matches_quadrature(caplog):
             with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
                 cf = mc.adr_closed_form(p)
             ref = _shannon_minus_penalty(p)
+            assert bool(caplog.records) == (snr_db <= fallback_max_db), (n, snr_db)
             if caplog.records:
-                assert snr_db < 10 and cf == ref, (n, snr_db)
+                assert cf == ref, (n, snr_db)
             else:
                 tol = 1e-13 if snr_db >= 10 else 1e-6
                 assert abs(cf - ref) <= tol * abs(ref), (n, snr_db, cf, ref)
@@ -117,6 +123,22 @@ def test_adr_closed_form_curve_logs_one_warning(caplog):
     assert len(caplog.records) == 1
     assert "13 of 81 rho" in caplog.records[0].message
     assert list(curve) == [mc.adr_closed_form(_at(p, rho=r)) for r in rho.tolist()]
+
+
+@pytest.mark.parametrize("n, ab, lo_db, fallbacks", [(1, 1.0, -60, "43 of 111"),
+                                                     (64, 0.03, -30, "37 of 81")])
+def test_adr_closed_form_survives_overflowing_series(caplog, n, ab, lo_db, fallbacks):
+    # at |z| = 1/(4 rho theta^2) of order 1e5 the pFq terms overflow (about
+    # -51 dB at N = 1, -21 dB at alpha beta = 9e-4); those rows fall back with
+    # the rest and the good rows of the curve keep their closed-form values
+    rho = 10.0 ** (np.arange(lo_db, 51.0) / 10.0)
+    p = SystemParams(n_elements=n, alpha=ab, beta=ab, rho=rho)
+    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+        curve = mc.adr_closed_form(p)
+    assert len(caplog.records) == 1 and f"{fallbacks} rho" in caplog.records[0].message
+    assert np.isfinite(curve).all()
+    assert list(curve) == [mc.adr_closed_form(_at(p, rho=r)) for r in rho.tolist()]
+    assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
 def test_adr_simplified_reference():

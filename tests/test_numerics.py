@@ -232,6 +232,13 @@ def test_hyp_pfq_non_convergence(monkeypatch):
         nx.hyp_pfq([1.0], [2.0], 30.0)
 
 
+def test_hyp_pfq_overflowing_terms_stop_early():
+    # the terms of 1F2 at z = -1e6 peak near e^2000: the first one that
+    # overflows ends the sum, long before the 10^6-term budget
+    with pytest.raises(NonConvergenceError, match="overflowed at term"):
+        nx.hyp_pfq([0.5], [0.5, 1.5], -1e6)
+
+
 # ---------------------------------------------------------------------------
 # fixed Gauss-Legendre panels
 # ---------------------------------------------------------------------------
@@ -260,9 +267,11 @@ def test_per_rho_maps_a_float_formula():
     assert nx._per_rho(math.exp, x).tolist() == [math.exp(v) for v in x.tolist()]
     one = nx._per_rho(math.log, np.float64(3.0))
     assert isinstance(one, float) and one == math.log(3.0)
-    # a rho where the formula overflows is inf, alone
+    # in an array, a rho where the formula overflows is inf, alone; a float
+    # rho raises, so a scalar call keeps the reason
     assert nx._per_rho(math.exp, np.array([1.0, 710.0])).tolist() == [math.e, math.inf]
-    assert nx._per_rho(math.exp, 710.0) == math.inf
+    with pytest.raises(OverflowError):
+        nx._per_rho(math.exp, 710.0)
 
 
 # ---------------------------------------------------------------------------
