@@ -11,33 +11,19 @@ magnitude where factors would otherwise overflow.  Every metric takes a
 float or a 1-D array in params.rho and returns a float or one value per
 rho, each value depending on its own rho alone.
 
-The rate closed form is an identity, not an approximation: it equals the
-Gamma-model Shannon average minus the rate penalty at unit dispersion,
-shannon_gamma - Qinv(eps)/(sqrt(M) ln2), to rounding (within 5e-16
-relative from 10 dB up at N = 1, 2, 3, 8, 20, 64, 256 and 1024).  Its gap
-to adr_numerical_gamma is the dispersion term, which grows as N k
-shrinks, not an error.
-
-The sec/csc factors of the rate closed form have poles at integer
-a = N k.  The shape k = pi^2/(16 - pi^2) is irrational, so a never lands
-on a pole, but it comes within POLE_GUARD of one for some physical N
-(1287, 1669, 2574, 2956 and 3861 up to 4096); there the closed form falls
-back to the value of its identity.  It falls back the same way at low
-SNR, where cancellation in and among its pFq terms costs more than
-DIGITS_LOST_MAX of the 16 digits (about -18 dB and below), and where the
-terms of a series overflow (|z| of order 1e5).
-
-A call that falls back logs one warning on the irslink.metrics_csi
-logger, the only record of it; nothing is counted.  Probability outputs
-are clamped to [0, 1] by fbl._clamp_prob, silently.
+The paper's rate closed form (three pFq series and a digamma term) is an
+identity, not an approximation: it equals the Gamma-model Shannon average
+minus the rate penalty at unit dispersion, shannon_gamma -
+Qinv(eps)/(sqrt(M) ln2), and is computed that way.  Its gap to
+adr_numerical_gamma is the dispersion term, which grows as N k shrinks,
+not an error.  Probability outputs are clamped to [0, 1] by
+fbl._clamp_prob, silently.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,7 +39,6 @@ from .channel import (
 from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
 from .numerics import (
     EULER_GAMMA,
-    NonConvergenceError,
     _per_rho,
     digamma,
     hyp_pfq,
@@ -74,16 +59,6 @@ __all__ = [
     "adep_ratio",
 ]
 
-POLE_GUARD = 1e-3
-DIGITS_LOST_MAX = 8.0
-
-logger = logging.getLogger(__name__)
-
-
-def _log_rate_lead(psi_a: float, theta: float, rho: float) -> float:
-    """2 (psi(a) - ln(1/(theta sqrt(rho)))) / ln2, the log term of both rate forms."""
-    return 2.0 * (psi_a - math.log(1.0 / (theta * math.sqrt(rho)))) / _LN2
-
 
 # ---------------------------------------------------------------------------
 # average data rate
@@ -101,10 +76,10 @@ def shannon_gamma(params: SystemParams):
 
 
 def adr_closed_form(params: SystemParams):
-    """Closed-form average rate, per rho, with hypergeometric correction terms.
+    """Closed-form average rate, per rho: the paper's pFq form, through its identity.
 
-    Assembles, per unit of the density normalization 2 rho^(a/2) theta^a
-    Gamma(a) with a = N k:
+    The paper assembles, per unit of the density normalization
+    2 rho^(a/2) theta^a Gamma(a) with a = N k:
 
       2F3(1,1; 2, (3-a)/2, (4-a)/2; z) / ((a-1)(a-2) rho theta^2 ln2)
       - pi sec(pi a/2) 1F2((a+1)/2; 3/2, (a+3)/2; z) * s1 / ((a+1) ln2)
@@ -112,85 +87,23 @@ def adr_closed_form(params: SystemParams):
       + 2 (psi(a) - ln(1/(theta sqrt(rho)))) / ln2
       - Qinv(eps) / (sqrt(M) ln2)
 
-    with z = -1/(4 rho theta^2) and s1, s2 the log-domain scale factors.
-    The first four terms are the Gamma-model Shannon average E[log2(1+X)]
-    and the last is the rate penalty at unit dispersion, so the closed form
-    is exactly shannon_gamma(params) - Qinv(eps)/(sqrt(M) ln2): the Shannon
-    average minus the worst-case penalty, the CSI twin of the no-CSI
-    adr_lower_bound.  It lies below adr_numerical_gamma by the dispersion
-    term E[(1 - sqrt(V(X))) Qinv(eps)/sqrt(M)]/ln2, which is not small
-    where the SNR is often near 0 (small N k, low SNR): at 0 dB it is 0.20
-    bits at N = 1.
+    with z = -1/(4 rho theta^2), s1 = rho^-((a+1)/2) theta^-(a+1) / Gamma(a)
+    and s2 = rho^(-a/2) theta^-a / Gamma(a).  The first four terms are the
+    Gamma-model Shannon average E[log2(1+X)] and the last is the rate
+    penalty at unit dispersion, so the closed form is exactly
+    shannon_gamma(params) - Qinv(eps)/(sqrt(M) ln2), and that is how it is
+    computed: in one call for every rho, with no sec/csc poles and none of
+    the cancellation the alternating series suffer at low SNR.  It is the
+    Shannon average minus the worst-case penalty, the CSI twin of the
+    no-CSI adr_lower_bound.  It lies below adr_numerical_gamma by the
+    dispersion term E[(1 - sqrt(V(X))) Qinv(eps)/sqrt(M)]/ln2, which is not
+    small where the SNR is often near 0 (small N k, low SNR): at 0 dB it is
+    0.20 bits at N = 1.
 
     params.rho is a float or a 1-D array; the result is a float or one
-    value per rho.  Each rho sums its own three pFq series, so the closed
-    form is assembled per rho.  Where it cannot be trusted it is replaced by
-    the value of the identity above, shannon_gamma - penalty, computed in
-    one call for all such rho: within POLE_GUARD of a sec/csc pole (every
-    rho, since a does not depend on rho), and at low SNR, where the
-    alternating series cancel (hyp_pfq reports max|term| / |sum|) and so do
-    the large terms t1..t3 among themselves, and the two together cost more
-    than DIGITS_LOST_MAX of the 16 digits (a non-finite closed form, or a
-    series whose terms overflow, counts as all of them).  A call that falls
-    back logs one warning with the count and the z range.
+    value per rho.
     """
-    a, theta = _gamma_law(params)
-    penalty = _rate_penalty(params.blocklength, params.target_eps)
-    rho = np.atleast_1d(np.asarray(params.rho, dtype=float))
-    half_pi_a = 0.5 * math.pi * a
-    if min(abs(math.sin(half_pi_a)), abs(math.cos(half_pi_a))) < POLE_GUARD:
-        logger.warning(
-            "closed-form rate near sec/csc pole (a=%g); all %d rho fall back to the "
-            "Shannon average minus the penalty", a, rho.size)
-        return shannon_gamma(params) - penalty
-
-    psi_a = float(digamma(a))
-    val = _per_rho(lambda r: _closed_form_point(a, theta, psi_a, r, penalty), rho)
-    fall = ~np.isfinite(val)
-    if fall.any():
-        z = -0.25 / (rho[fall] * theta * theta)
-        logger.warning(
-            "closed-form rate loses more than %g of 16 digits to cancellation at %d of %d "
-            "rho (a=%g, z from %g to %g); they fall back to the Shannon average minus the "
-            "penalty", DIGITS_LOST_MAX, fall.sum(), rho.size, a, z.min(), z.max())
-        val[fall] = shannon_gamma(replace(params, rho=rho[fall])) - penalty
-    return float(val[0]) if np.ndim(params.rho) == 0 else val
-
-
-def _closed_form_point(a: float, theta: float, psi_a: float, rho: float,
-                       penalty: float) -> float:
-    """Closed-form rate at one rho (see adr_closed_form), nan where it cannot be trusted.
-
-    psi_a is digamma(a).  nan marks a value whose pFq series and terms
-    cancel by more than DIGITS_LOST_MAX digits, or that is not finite: a
-    series whose terms overflow (very negative z) or a scale factor that
-    overflows has lost every digit.
-    """
-    z = -0.25 / (rho * theta * theta)
-    half_pi_a = 0.5 * math.pi * a
-    try:
-        f23, c23 = hyp_pfq([1.0, 1.0], [2.0, 1.5 - 0.5 * a, 2.0 - 0.5 * a], z,
-                           with_cancellation=True)
-        f12_sec, c_sec = hyp_pfq([0.5 * (a + 1.0)], [1.5, 0.5 * a + 1.5], z,
-                                 with_cancellation=True)
-        f12_csc, c_csc = hyp_pfq([0.5 * a], [0.5, 0.5 * a + 1.0], z,
-                                 with_cancellation=True)
-        t1 = f23 / (_LN2 * (a - 1.0) * (a - 2.0) * rho * theta * theta)
-        log_s1 = -(0.5 * (a + 1.0) * math.log(rho) + (a + 1.0) * math.log(theta)
-                   + math.lgamma(a))
-        t2 = (-math.pi / math.cos(half_pi_a) * f12_sec * math.exp(log_s1)
-              / ((a + 1.0) * _LN2))
-        log_s2 = -(0.5 * a * math.log(rho) + a * math.log(theta) + math.lgamma(a))
-        t3 = math.pi / math.sin(half_pi_a) * f12_csc * math.exp(log_s2) / (a * _LN2)
-    except (NonConvergenceError, OverflowError):
-        return math.nan
-    t45 = _log_rate_lead(psi_a, theta, rho)
-    val = t1 + t2 + t3 + t45 - penalty
-    # rounding of each series is amplified by its own cancellation and then
-    # by the cancellation among the terms
-    spread = abs(t1) * c23 + abs(t2) * c_sec + abs(t3) * c_csc + abs(t45) + penalty
-    lost = math.log10(spread / abs(val)) if val != 0.0 else math.inf
-    return val if lost <= DIGITS_LOST_MAX else math.nan
+    return shannon_gamma(params) - _rate_penalty(params.blocklength, params.target_eps)
 
 
 def adr_simplified(params: SystemParams):
@@ -198,7 +111,8 @@ def adr_simplified(params: SystemParams):
     a, theta = _gamma_law(params)
     psi_a = float(digamma(a))
     penalty = _rate_penalty(params.blocklength, params.target_eps)
-    return _per_rho(lambda r: _log_rate_lead(psi_a, theta, r) - penalty, params.rho)
+    return _per_rho(lambda r: 2.0 * (psi_a - math.log(1.0 / (theta * math.sqrt(r)))) / _LN2
+                    - penalty, params.rho)
 
 
 def rate_gap(params: SystemParams) -> float:

@@ -6,8 +6,9 @@ through this module, so the contracts here are deliberately strict:
   - the standard special functions the link metrics need (digamma,
     regularized incomplete gammas, the Gaussian tail Q and its inverse)
     come from the mature scipy implementations;
-  - the generalized hypergeometric pFq is summed here so that it can
-    report how many digits its alternating terms cancel;
+  - the generalized hypergeometric pFq (the confluent pair of the CSI
+    error tail) is summed here by term ratios, and stops at the first
+    term that overflows;
   - the modified Bessel K is exposed only as the weighted product
     (z/2)^n * K_n(z): the bare factors overflow/underflow pairwise for
     large n, while the product stays moderate.  All density/CDF code
@@ -324,7 +325,7 @@ _PFQ_REL_TOL = 1e-15
 _PFQ_MAX_TERMS = 10 ** 6
 
 
-def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
+def hyp_pfq(a_list, b_list, z: float) -> float:
     """Generalized hypergeometric pFq(a_list; b_list; z) by term-ratio summation.
 
     term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)
@@ -333,9 +334,6 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
     (a single small term can be an accidental sign-change zero); raises
     NonConvergenceError once a term overflows (the sum can no longer be
     finite) or after 10^6 terms.
-
-    with_cancellation=True returns (value, max|term| / |sum|): the sum
-    keeps about 16 - log10 of that ratio significant digits.
     """
     a = [float(v) for v in a_list]
     b = [float(v) for v in b_list]
@@ -343,7 +341,6 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
         if bj <= 0.0 and bj == int(bj):
             raise DomainError(f"pFq pole: b parameter {bj} is a nonpositive integer")
     total = 1.0
-    largest = 1.0
     if z != 0.0:
         term = 1.0
         small_streak = 0
@@ -357,11 +354,9 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
             term *= num / den * z / (k + 1.0)
             total += term
             mag = abs(term)
-            if mag > largest:
-                largest = mag
-                if mag == math.inf:
-                    raise NonConvergenceError(
-                        f"pFq({a_list}; {b_list}; {z}) overflowed at term {k + 1}")
+            if mag == math.inf:
+                raise NonConvergenceError(
+                    f"pFq({a_list}; {b_list}; {z}) overflowed at term {k + 1}")
             if mag < _PFQ_REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 2:
@@ -374,9 +369,7 @@ def hyp_pfq(a_list, b_list, z: float, *, with_cancellation: bool = False):
             raise NonConvergenceError(
                 f"pFq({a_list}; {b_list}; {z}) did not converge within {_PFQ_MAX_TERMS} terms"
             )
-    if not with_cancellation:
-        return total
-    return total, (largest / abs(total) if total != 0.0 else math.inf)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import logging
 import os
 import subprocess
 import sys
@@ -382,6 +383,18 @@ def test_stdout_output(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("metric,mode,method,n,snr_db,value,stderr,note")
+
+
+def test_csi_closed_form_sweep_is_silent(capsys, caplog):
+    # N = 1287 sits next to a sec/csc pole of the printed series and -30 dB
+    # is deep in its cancellation region; the rate is the identity there too
+    with caplog.at_level(logging.DEBUG, logger="irslink"):
+        code = main(["--metric", "adr", "--mode", "csi", "--methods", "closed_form",
+                     "--n", "1,20,1287", "--snr-start", "-30", "--snr-stop", "50",
+                     "--snr-step", "10"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not caplog.records
 
 
 def test_module_entry_point_runs_without_runtime_warning():

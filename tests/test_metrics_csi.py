@@ -47,32 +47,45 @@ def _shannon_minus_penalty(p):
     return mc.shannon_gamma(p) - fbl._rate_penalty(p.blocklength, p.target_eps)
 
 
-# highest SNR (dB) at which the closed form falls back, per N: its
-# digits-lost guard trips at every SNR up to there and at none above
-_CLOSED_FORM_FALLBACK_MAX_DB = {1: -18, 2: -16, 8: -14, 20: -17, 64: -25}
+def _printed_closed_form(p):
+    """The paper's printed rate closed form at p (a float rho), summed by mpmath at 80 digits."""
+    mp = pytest.importorskip("mpmath")
+    match = gamma_match(p.alpha, p.beta)
+    with mp.workdps(80):
+        a, theta, rho = p.n_elements * mp.mpf(match.shape), mp.mpf(match.scale), mp.mpf(p.rho)
+        ln2 = mp.log(2)
+        z = -1 / (4 * rho * theta ** 2)
+        t1 = (mp.hyper([1, 1], [2, (3 - a) / 2, (4 - a) / 2], z)
+              / ((a - 1) * (a - 2) * rho * theta ** 2 * ln2))
+        s1 = mp.exp(-((a + 1) / 2 * mp.log(rho) + (a + 1) * mp.log(theta) + mp.loggamma(a)))
+        t2 = (-mp.pi * mp.sec(mp.pi * a / 2) * mp.hyper([(a + 1) / 2], [1.5, (a + 3) / 2], z)
+              * s1 / ((a + 1) * ln2))
+        s2 = mp.exp(-(a / 2 * mp.log(rho) + a * mp.log(theta) + mp.loggamma(a)))
+        t3 = (mp.pi * mp.csc(mp.pi * a / 2) * mp.hyper([a / 2], [0.5, a / 2 + 1], z)
+              * s2 / (a * ln2))
+        lead = 2 * (mp.digamma(a) - mp.log(1 / (theta * mp.sqrt(rho)))) / ln2
+        penalty = (mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p.target_eps))
+                   / (mp.sqrt(p.blocklength) * ln2))
+        return float(t1 + t2 + t3 + lead - penalty)
 
 
-def test_adr_closed_form_matches_quadrature(caplog):
-    # the closed form is the Gamma-model Shannon average on the log-y rule
-    # minus Qinv(eps)/(sqrt(M) ln2); where it falls back it is that value
-    for n, fallback_max_db in _CLOSED_FORM_FALLBACK_MAX_DB.items():
-        curve = []
-        for snr_db in range(-30, 51):
-            p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-                cf = mc.adr_closed_form(p)
-            ref = _shannon_minus_penalty(p)
-            assert bool(caplog.records) == (snr_db <= fallback_max_db), (n, snr_db)
-            if caplog.records:
-                assert cf == ref, (n, snr_db)
-            else:
-                tol = 1e-13 if snr_db >= 10 else 1e-6
-                assert abs(cf - ref) <= tol * abs(ref), (n, snr_db, cf, ref)
-            curve.append(cf)
-        if n == 1:
-            # the fallback used to be the short-packet rate average, a jump
-            assert all(b >= a for a, b in zip(curve, curve[1:]))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 64, 256, 1024, 1287])
+def test_adr_closed_form_matches_printed_series(n):
+    # the printed pFq form, summed at 80 digits so that its alternating
+    # series keep their digits, is the value adr_closed_form computes through
+    # the identity, from the sec/csc pole neighbourhood of N = 1287 to the
+    # low-SNR end where the same series summed in doubles cancel
+    for snr_db in range(-30, 51, 5):
+        p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
+        ref = _printed_closed_form(p)
+        val = mc.adr_closed_form(p)
+        assert abs(val - ref) <= 1e-14 * abs(ref), (snr_db, val, ref)
+
+
+def test_adr_closed_form_value_at_minus_15_db():
+    # the printed formula summed at 80 digits by mpmath (hyper, loggamma, digamma)
+    val = mc.adr_closed_form(_at(P20, rho=10.0 ** -1.5))
+    assert abs(val - 2.53522511197673) <= 1e-9 * val
 
 
 def test_adr_closed_form_median_eps_drops_penalty():
@@ -82,62 +95,19 @@ def test_adr_closed_form_median_eps_drops_penalty():
                - 5.6120012441747887 / (math.sqrt(200.0) * LN2)) < 1e-10
 
 
-def test_adr_closed_form_pole_fallback(caplog):
-    # a = N k comes within POLE_GUARD of the integer 2072 at N = 1287
-    p = SystemParams(n_elements=1287, rho=1.0)
-    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-        val = mc.adr_closed_form(p)
-    assert len(caplog.records) == 1
-    assert caplog.records[0].levelno == logging.WARNING
-    assert "pole" in caplog.records[0].message
-    assert val == _shannon_minus_penalty(p)
-
-
-def test_adr_closed_form_cancellation_fallback(caplog):
-    # z = -1/(4 rho theta^2) grows at low SNR: the alternating pFq series and
-    # the terms they feed cancel, and the printed form gave -2.2e34, 8.2e13
-    # and 1.43 (against 1.24) at N = 20
-    for snr_db in (-30.0, -25.0, -20.0):
-        p = _at(P20, rho=10.0 ** (snr_db / 10.0))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-            val = mc.adr_closed_form(p)
-        assert val == _shannon_minus_penalty(p), snr_db
-        assert len(caplog.records) == 1 and "digits" in caplog.records[0].message
-    # at -15 dB the closed form keeps its digits: it matches the same
-    # formula summed at 80 digits by mpmath (hyper, loggamma, digamma)
-    p = _at(P20, rho=10.0 ** -1.5)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-        val = mc.adr_closed_form(p)
-    assert not caplog.records
-    assert abs(val - 2.53522511197673) <= 1e-9 * val
-
-
-def test_adr_closed_form_curve_logs_one_warning(caplog):
-    # an 81-point N = 1 curve falls back at its 13 lowest SNRs in one call
-    rho = 10.0 ** (np.arange(-30.0, 51.0) / 10.0)
-    p = SystemParams(n_elements=1, rho=rho)
-    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
-        curve = mc.adr_closed_form(p)
-    assert len(caplog.records) == 1
-    assert "13 of 81 rho" in caplog.records[0].message
-    assert list(curve) == [mc.adr_closed_form(_at(p, rho=r)) for r in rho.tolist()]
-
-
-@pytest.mark.parametrize("n, ab, lo_db, fallbacks", [(1, 1.0, -60, "43 of 111"),
-                                                     (64, 0.03, -30, "37 of 81")])
-def test_adr_closed_form_survives_overflowing_series(caplog, n, ab, lo_db, fallbacks):
-    # at |z| = 1/(4 rho theta^2) of order 1e5 the pFq terms overflow (about
-    # -51 dB at N = 1, -21 dB at alpha beta = 9e-4); those rows fall back with
-    # the rest and the good rows of the curve keep their closed-form values
+@pytest.mark.parametrize("n, ab, lo_db", [(1, 1.0, -60), (64, 0.03, -30), (1287, 1.0, -30)])
+def test_adr_closed_form_curve_is_the_identity(caplog, n, ab, lo_db):
+    # the rows the printed series could not reach in double precision: terms
+    # that overflow (|z| of order 1e5, from about -51 dB at N = 1 and -21 dB
+    # at alpha beta = 9e-4), cancellation at low SNR, and N = 1287, where
+    # a = N k comes within 1e-3 of the sec/csc pole at 2072
     rho = 10.0 ** (np.arange(lo_db, 51.0) / 10.0)
     p = SystemParams(n_elements=n, alpha=ab, beta=ab, rho=rho)
-    with caplog.at_level(logging.WARNING, logger="irslink.metrics_csi"):
+    with caplog.at_level(logging.DEBUG, logger="irslink.metrics_csi"):
         curve = mc.adr_closed_form(p)
-    assert len(caplog.records) == 1 and f"{fallbacks} rho" in caplog.records[0].message
-    assert np.isfinite(curve).all()
+    assert not caplog.records
     assert list(curve) == [mc.adr_closed_form(_at(p, rho=r)) for r in rho.tolist()]
+    assert list(curve) == list(_shannon_minus_penalty(p))
     assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
