@@ -12,14 +12,14 @@ Two operating modes are covered:
   - CSI: per-element co-phasing gives snr = rho * (sum |g_n||h_n|)^2,
     handled through a Gamma moment match of the per-element product.
 
-Density/CDF evaluation routes through the weighted Bessel product and log
-domain arithmetic so that N = 40 and large SNR stay finite; the no-CSI CDF
-switches to the small-argument series of K_N (numerics, shared with the
-weighted Bessel product) where 1 - (...) K_N would cancel, so it keeps its
-relative digits down to 1e-300.  The no-CSI CDF is refused for N > 169
-(its Bessel branch overflows inside every SNR curve there) and the density
-raises where (z/2)^(N-1) K_{N-1} overflows, so no large-N no-CSI value
-comes back silently wrong.
+The no-CSI law is one Bessel-K form, F_N(q) = 1 - (2/Gamma(N)) q^(N/2)
+K_N(2 sqrt q) at q = bx, evaluated by numerics._k_law: the small-argument
+series of K_N where 1 - (...) would cancel, so the CDF keeps its relative
+digits down to 1e-300, and scipy's scaled kve in log space above.  By A&S
+9.6.28 the density is the survival of the same law one order down,
+b/(N-1) (1 - F_{N-1}(q)), and 2b K_0(2 sqrt q) for N = 1.  Both are
+refused for N > 169 (kve overflows inside every SNR curve there), so no
+large-N no-CSI value comes back silently wrong.
 
 In both modes the SNR is rho alpha beta times a unit-scale variable Y whose
 law is the mode's law at rho = alpha = beta = 1.  log_snr_rule tabulates
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,8 @@ import scipy.special as sc
 
 from .numerics import (
     _TAIL_CUTOFF,
-    _bessel_k_cdf_series,
     _dot_per_rho,
-    bessel_k_weighted,
+    _k_law,
     gauss_legendre_panels,
     reg_gamma_lower,
 )
@@ -63,10 +61,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Largest N whose no-CSI CDF is computed: kve(N, z) overflows for some
-# z >= 2 from N = 170 on, inside every SNR curve.
+# Largest N whose no-CSI law (CDF and density) is computed: kve(N, z)
+# overflows for some z >= 2 from N = 170 on, inside every SNR curve.
 NOCSI_MAX_N = 169
-_LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -123,75 +120,48 @@ class GammaMatch:
 # no-CSI distributions (exact)
 # ---------------------------------------------------------------------------
 
-def snr_pdf_nocsi(x, params: SystemParams):
-    """Density of the zero-phase SNR rho |sum conj(g_n) h_n|^2.
-
-    With b = 1/(rho alpha beta) and z = 2 sqrt(b x) this is
-    (2 b / Gamma(N)) (z/2)^(N-1) K_{N-1}(z), i.e. A x^((N-1)/2) K_{N-1}(z)
-    with the normalizing constant folded into the weighted Bessel product,
-    which stays finite where the two factors overflow pairwise.  The x -> 0
-    limit is the positive constant b/(N-1) for N >= 2 (full cancellation
-    across elements keeps density at the origin) and diverges
-    logarithmically for N = 1.  Where 2b/Gamma(N) falls below the normal
-    double range (N >~ 170) the constant is applied in log space; the
-    density raises OverflowError where the Bessel product itself does.
-    """
+def _nocsi_q(x, params: SystemParams):
+    """b = 1/(rho alpha beta) and q = b x; raises for N > NOCSI_MAX_N before any work."""
     n = params.n_elements
-    b = 1.0 / (params.rho * params.alpha * params.beta)
+    if n > NOCSI_MAX_N:
+        raise OverflowError(f"no-CSI SNR law needs N <= {NOCSI_MAX_N}, got N = {n}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
-        raise ValueError("snr_pdf_nocsi requires x >= 0")
-    z = 2.0 * np.sqrt(b * x_arr)
-    log_pref = math.log(2.0 * b) - math.lgamma(n)
-    if log_pref < _LOG_TINY:
-        with np.errstate(divide="ignore"):
-            val = np.exp(np.log(bessel_k_weighted(n - 1, z)) + log_pref)
-        return float(val) if np.ndim(x) == 0 else val
-    pref = 2.0 * b * math.exp(-math.lgamma(n))
-    if n == 1 and np.any(np.atleast_1d(z) == 0.0):
-        scalar = np.ndim(x) == 0
-        z_arr = np.atleast_1d(z)
-        out = np.full(z_arr.shape, np.inf)
-        pos = z_arr > 0.0
-        out[pos] = pref * bessel_k_weighted(0, z_arr[pos])
-        return float(out[0]) if scalar else out
-    return pref * bessel_k_weighted(n - 1, z)
+        raise ValueError("the no-CSI SNR law requires x >= 0")
+    b = 1.0 / (params.rho * params.alpha * params.beta)
+    return b, b * x_arr
+
+
+def snr_pdf_nocsi(x, params: SystemParams):
+    """Density of the zero-phase SNR rho |sum conj(g_n) h_n|^2, the derivative of the CDF.
+
+    By A&S 9.6.28, d/dz [z^v K_v(z)] = -z^v K_{v-1}(z), so for N >= 2 it
+    is b/(N-1) (1 - F_{N-1}(bx)), the survival of the same K-law one order
+    down (numerics._k_law), and for N = 1 it is 2b K_0(2 sqrt(bx)).  At
+    x = 0 it is b/(N-1) for N >= 2 (full cancellation across elements
+    keeps density at the origin) and inf for N = 1 (a logarithmic
+    divergence).  Raises OverflowError for N > NOCSI_MAX_N, like the CDF.
+    """
+    n = params.n_elements
+    b, q = _nocsi_q(x, params)
+    if n == 1:
+        val = 2.0 * b * sc.k0(2.0 * np.sqrt(q))
+    else:
+        val = b / (n - 1) * _k_law(n - 1, q, survival=True)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def snr_cdf_nocsi(x, params: SystemParams):
-    """CDF of the zero-phase SNR, 1 - (2/(N-1)!) (bx)^(N/2) K_N(2 sqrt(bx)).
+    """CDF of the zero-phase SNR, F_N(bx) = 1 - (2/(N-1)!) (bx)^(N/2) K_N(2 sqrt(bx)).
 
-    The weighted Bessel product keeps the prefactor-Bessel pair finite for
-    any N in range.  Below q = bx = N/4, where F < ~0.4 and the difference
-    from 1 cancels, the value comes from the small-argument series of K_N
-    in numerics instead (relative accuracy ~1e-15 down to F ~ 1e-300).
-    Exact 0 at x = 0 and monotone to 1.  An array params.rho broadcasts
-    against x; each value depends only on its own q = bx.
+    From numerics._k_law: relative accuracy ~1e-15 down to F ~ 1e-300,
+    exact 0 at x = 0 and monotone to 1.  An array params.rho broadcasts
+    against x; each value depends only on its own q = bx.  Raises
+    OverflowError for N > NOCSI_MAX_N.
     """
-    b = 1.0 / (params.rho * params.alpha * params.beta)
-    n = params.n_elements
-    if n > NOCSI_MAX_N:
-        raise OverflowError(
-            f"no-CSI SNR CDF needs N <= {NOCSI_MAX_N}: K_N overflows double range "
-            f"for N = {n}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("snr_cdf_nocsi requires x >= 0")
-    q = b * x_arr
-    scalar = np.ndim(q) == 0
-    q = np.atleast_1d(q)
-    small = q <= 0.25 * n
-    if small.all():
-        val = _bessel_k_cdf_series(n, q.ravel()).reshape(q.shape)
-    else:
-        val = np.empty_like(q)
-        z = 2.0 * np.sqrt(q[~small])
-        val[~small] = 1.0 - 2.0 * math.exp(-math.lgamma(n)) * bessel_k_weighted(n, z)
-        if small.any():
-            val[small] = _bessel_k_cdf_series(n, q[small])
-    if scalar:
-        return float(min(max(val[0], 0.0), 1.0))
-    return np.clip(val, 0.0, 1.0)
+    _, q = _nocsi_q(x, params)
+    val = _k_law(params.n_elements, q)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,12 @@ through this module, so the contracts here are deliberately strict:
   - the generalized hypergeometric pFq (the confluent pair of the CSI
     error tail) is summed here by term ratios, and stops at the first
     term that overflows;
-  - the modified Bessel K is exposed only as the weighted product
-    (z/2)^n * K_n(z): the bare factors overflow/underflow pairwise for
-    large n, while the product stays moderate.  All density/CDF code
-    routes through it, and it raises OverflowError where even the product
-    leaves double range.  The small-argument series of K_n lives here
-    too, as the complement F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q):
-    the no-CSI CDF uses it where 1 - (...) cancels, and the weighted
-    product where scipy's scaled kve overflows;
+  - the modified Bessel K enters only through the no-CSI K-law
+    F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q) and its survival
+    (_k_law): the small-argument series of K_n where 1 - (...) cancels,
+    scipy's scaled kve in log space above, so the pairwise overflow of
+    q^(n/2) and K_n never shows.  The no-CSI CDF is F_N, and by A&S
+    9.6.28 its density is b/(N-1) times the survival one order down;
   - the metric integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration, and
     _dot_per_rho reduces a whole vector of rho on them in row blocks
@@ -48,7 +46,6 @@ __all__ = [
     "digamma",
     "reg_gamma_lower",
     "reg_gamma_upper",
-    "bessel_k_weighted",
     "q_func",
     "q_inv",
     "hyp_pfq",
@@ -234,61 +231,31 @@ def _series_top(y: float) -> int:
     return min(_SERIES_TERMS, int(y) + 2)
 
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+def _k_law(n: int, q: np.ndarray, survival: bool = False) -> np.ndarray:
+    """F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q), or 1 - F_n(q) with survival.
 
-
-def _raise_overflow(n: int, z: float):
-    raise OverflowError(
-        f"(z/2)^n K_n(z) at n={n}, z={float(z)!r} overflows double range")
-
-
-def _product_from_kve(n: int, z: np.ndarray, kve: np.ndarray) -> np.ndarray:
-    log_vals = n * np.log(0.5 * z) + np.log(kve) - z
-    if log_vals.size and log_vals.max() > _LOG_FLOAT_MAX:
-        _raise_overflow(n, z[log_vals.argmax()])
-    return np.exp(log_vals)
-
-
-def bessel_k_weighted(n: int, z) -> np.ndarray | float:
-    """(z/2)^n * K_n(z) for integer n >= 0, z >= 0 (z > 0 when n = 0).
-
-    The product stays O(Gamma(n)) for small z where K_n alone overflows,
-    and decays like e^-z for large z.  It comes from scipy's scaled kve
-    where that is finite; where kve overflows (z = 0, or tiny z < 2 for
-    large n) it is Gamma(n)/2 (1 - F_n(z^2/4)) with F_n from the
-    small-argument series of K_n, so z = 0 gives the limit Gamma(n)/2 for
-    n >= 1.  Past scipy's argument range (z > ~1.07e9) the product
-    underflows and 0 is returned.  Raises OverflowError, without a
-    RuntimeWarning, where the product leaves double range or scipy's kve
-    overflows at z >= 2 (large n).
+    For 1 <= n <= 169 and q >= 0, an array of any shape; the caller checks
+    n, above which scipy's kve(n, z) overflows for some z >= 2.  Up to
+    q = n/4, where F_n < ~0.4, the value comes from the small-argument
+    series (_bessel_k_cdf_series); above it the tail (2/Gamma(n)) (z/2)^n
+    K_n(z), z = 2 sqrt q, is assembled in log space from scipy's scaled
+    kve, is the survival itself, and underflows to 0 past kve's argument
+    range (z > ~1.07e9, where kve returns nan).
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"bessel_k_weighted requires integer n >= 0, got {n}")
-    n = int(n)
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if np.any(z_arr < 0.0) or (n == 0 and np.any(z_arr == 0.0)):
-        raise DomainError("bessel_k_weighted requires z >= 0 (z > 0 for n = 0)")
-
-    with np.errstate(over="ignore"):
-        kve = sc.kve(n, z_arr)
-    finite = np.isfinite(kve)
-    if finite.all():
-        out = _product_from_kve(n, z_arr, kve)
-    else:
-        # kve is nan past its argument range (z > ~1.07e9), where the product
-        # e^(n ln(z/2) - z) O(1) underflows to 0 for n < ~5e7
-        out = np.zeros_like(z_arr)
-        out[finite] = _product_from_kve(n, z_arr[finite], kve[finite])
-        overflow = np.isinf(kve)
-        if overflow.any():
-            z_small = z_arr[overflow]
-            if z_small.max() >= 2.0 or math.lgamma(n) > _LOG_FLOAT_MAX:
-                _raise_overflow(n, z_small[-1])
-            out[overflow] = 0.5 * math.exp(math.lgamma(n)) * (
-                1.0 - _bessel_k_cdf_series(n, 0.25 * z_small * z_small))
-    return float(out[0]) if scalar else out
+    small = q <= 0.25 * n
+    if small.all():
+        cdf = _bessel_k_cdf_series(n, q.ravel()).reshape(q.shape)
+        return 1.0 - cdf if survival else cdf
+    out = np.empty_like(q)
+    z = 2.0 * np.sqrt(q[~small])
+    kve = sc.kve(n, z)
+    tail = 2.0 * math.exp(-math.lgamma(n)) * np.exp(n * np.log(0.5 * z) + np.log(kve) - z)
+    tail[np.isnan(kve)] = 0.0
+    out[~small] = tail if survival else 1.0 - tail
+    if small.any():
+        cdf = _bessel_k_cdf_series(n, q[small])
+        out[small] = 1.0 - cdf if survival else cdf
+    return out
 
 
 # ---------------------------------------------------------------------------

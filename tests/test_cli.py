@@ -210,7 +210,7 @@ def test_emit_csv_roundtrip():
 
 
 def test_emit_csv_quotes_notes_with_commas():
-    # the overflow note of the N = 256 no-CSI rate names both n and z
+    # the range note of the N = 256 no-CSI rate names both the limit and N
     curves = run_sweep(small_spec(methods=("asymptotic", "numerical"), n_values=(256,),
                                   snr_stop_db=0.0))
     buf = io.StringIO()
@@ -222,7 +222,7 @@ def test_emit_csv_quotes_notes_with_commas():
     failed = rows[1]
     assert failed["value"] == "" and failed["stderr"] == ""
     assert failed["note"] == curves[1].notes[0]
-    assert failed["note"].startswith("OverflowError:") and "n=255, z=" in failed["note"]
+    assert failed["note"].startswith("OverflowError:") and "N <= 169, got N = 256" in failed["note"]
     # a row without a comma in any field is written unquoted
     assert text.splitlines()[1] == f"adr,nocsi,asymptotic,256,0,{curves[0].y[0]:.17g},,"
 

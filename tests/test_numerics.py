@@ -13,6 +13,7 @@ import pytest
 import scipy.special as sc
 
 from irslink import numerics as nx
+from irslink.channel import SystemParams, snr_cdf_nocsi, snr_pdf_nocsi
 from irslink.numerics import (
     DomainError,
     NonConvergenceError,
@@ -56,27 +57,39 @@ def test_digamma_domain():
 # Bessel K
 # ---------------------------------------------------------------------------
 
+# The K-law F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q) carries the weighted
+# Bessel product (z/2)^n K_n(z), z = 2 sqrt q, in its survival 1 - F_n.
+
+def _survival(n, q):
+    return float(nx._k_law(n, np.array([q]), survival=True)[0])
+
+
 def test_bessel_k_weighted_matches_direct():
-    for n in (0, 1, 3, 10, 40):
+    for n in (1, 3, 10, 40):
         for z in (1e-3, 0.5, 3.0, 30.0):
-            expect = (z / 2.0) ** n * float(sc.kv(n, z))
-            got = nx.bessel_k_weighted(n, z)
-            assert abs(got - expect) <= 1e-11 * abs(expect)
+            q = 0.25 * z * z
+            expect = 2.0 / math.gamma(n) * (z / 2.0) ** n * float(sc.kv(n, z))
+            surv, cdf = _survival(n, q), float(nx._k_law(n, np.array([q]))[0])
+            assert abs(surv - expect) <= 1e-11 * expect
+            # each branch computes one of the pair and takes the other as 1 minus it
+            assert (cdf == 1.0 - surv) if q > 0.25 * n else (surv == 1.0 - cdf)
+    # N = 1's density is 2b K_0(2 sqrt(bx)) itself
+    p1 = SystemParams(n_elements=1, rho=0.5)
+    for x in (1e-6, 0.3, 40.0):
+        expect = 4.0 * float(sc.kv(0, 2.0 * math.sqrt(2.0 * x)))
+        assert abs(snr_pdf_nocsi(x, p1) - expect) <= 1e-14 * expect
 
 
 def test_bessel_k_weighted_series_branch_continuity():
-    # kve overflows below z ~ 5e-7 at n = 40, where the product comes from the
-    # shared small-argument series of K_n; the kve branch must agree with it
-    n = 40
-    assert np.isfinite(sc.kve(n, 1e-6)) and np.isinf(sc.kve(n, 1e-9))
-    half_gamma = 0.5 * math.gamma(n)
-    for z in (1e-6, 1e-9):
-        q = np.asarray([0.25 * z * z])
-        series = half_gamma * (1.0 - nx._bessel_k_cdf_series(n, q)[0])
-        assert abs(nx.bessel_k_weighted(n, z) - series) <= 1e-12 * series
-    # deep in the overflow zone the value approaches Gamma(n)/2
-    deep = nx.bessel_k_weighted(n, 1e-9)
-    assert abs(deep - half_gamma) <= 1e-10 * half_gamma
+    # the series (q <= n/4) and the kve form (q > n/4) agree at the switch, in
+    # the survival the density reads as much as in the CDF
+    for n in (1, 2, 40, 168, 169):
+        q = 0.25 * n
+        above = np.nextafter(q, np.inf)
+        below_s, above_s = nx._k_law(n, np.array([q, above]), survival=True)
+        assert abs(above_s - below_s) <= 1e-12 * below_s
+        below_f, above_f = nx._k_law(n, np.array([q, above]))
+        assert abs(above_f - below_f) <= 1e-12 * below_f
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 64, 169])
@@ -95,29 +108,43 @@ def test_bessel_k_cdf_series_is_elementwise(n):
 
 
 def test_bessel_k_weighted_overflow_raises():
-    # kve(256, z) overflows at moderate z; the product (~1.5e504 here) is
-    # not representable, so no value comes back and nothing warns
+    # past N = 169 kve(N, z) overflows inside every SNR curve: the CDF and the
+    # density refuse before any work, with a note that names both N, and
+    # nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError):
-            nx.bessel_k_weighted(256, 11.42)
-        with pytest.raises(OverflowError):
-            nx.bessel_k_weighted(256, np.array([0.5, 11.42, 40.0]))
+        for n in (170, 256):
+            p = SystemParams(n_elements=n, rho=0.01)
+            for law in (snr_cdf_nocsi, snr_pdf_nocsi):
+                with pytest.raises(OverflowError, match=f"N <= 169, got N = {n}"):
+                    law(0.326, p)
+                with pytest.raises(OverflowError):
+                    law(np.array([0.5, 11.42, 40.0]), p)
 
 
 def test_bessel_k_weighted_beyond_argument_range():
-    # past z ~ 1e9 scipy's kve gives nan; the true product underflows to 0
-    assert nx.bessel_k_weighted(20, 2e9) == 0.0
-    assert nx.bessel_k_weighted(1, np.array([1e3, 5e9]))[1] == 0.0
+    # past z ~ 1e9 scipy's kve gives nan; the true tail underflows to 0, so the
+    # density is 0 and the CDF 1
+    assert _survival(20, 1e18) == 0.0
+    assert float(nx._k_law(20, np.array([1e18]))[0]) == 1.0
+    for n in (1, 2, 20):
+        p = SystemParams(n_elements=n)
+        assert snr_pdf_nocsi(np.array([1e3, 5e18]), p)[1] == 0.0
+        assert snr_cdf_nocsi(5e18, p) == 1.0
 
 
 def test_bessel_k_weighted_zero_limit():
-    for n in (1, 4, 20):
-        assert nx.bessel_k_weighted(n, 0.0) == 0.5 * math.exp(math.lgamma(n))
-        mixed = nx.bessel_k_weighted(n, np.array([0.0, 0.5]))
-        assert mixed.tolist() == [0.5 * math.exp(math.lgamma(n)), nx.bessel_k_weighted(n, 0.5)]
-    with pytest.raises(DomainError):
-        nx.bessel_k_weighted(0, 0.0)
+    # the density tends to b/(N-1) at the origin for N >= 2, exactly, and is
+    # inf there for N = 1
+    for n in (2, 4, 20):
+        p = SystemParams(n_elements=n, rho=0.5)
+        assert snr_pdf_nocsi(0.0, p) == 2.0 / (n - 1)
+        mixed = snr_pdf_nocsi(np.array([0.0, 0.5]), p)
+        assert mixed.tolist() == [2.0 / (n - 1), snr_pdf_nocsi(0.5, p)]
+    p1 = SystemParams(n_elements=1, rho=0.5)
+    assert snr_pdf_nocsi(0.0, p1) == math.inf
+    mixed = snr_pdf_nocsi(np.array([0.0, 0.5]), p1)
+    assert mixed.tolist() == [math.inf, snr_pdf_nocsi(0.5, p1)]
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def test_nocsi_cdf_branches_meet(n):
 
 
 def test_nocsi_law_fails_past_its_range():
-    # N = 256, rho = 0.01 at x = 0.326: the CDF returned 1.0 (mpmath: 0.1200)
+    # N = 256, rho = 0.01 at x = 0.326: the CDF returned 1.0 (mpmath: 0.1200);
+    # the density, and so the ADR rule, is refused over the same range
     assert NOCSI_MAX_N == 169
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -90,26 +91,39 @@ def test_nocsi_law_fails_past_its_range():
             for metric in (mn.adep_numerical, mn.adep_linearized, mn.adep_approx):
                 with pytest.raises(OverflowError):
                     metric(p)
-            if n >= 171:  # the ADR rule's scan crosses where K_{N-1} overflows
-                for metric in (mn.adr_numerical, mn.adr_upper_bound):
-                    with pytest.raises(OverflowError):
-                        metric(p)
-            if n >= 256:  # z = 11.4 lies in that window
+            for metric in (mn.adr_numerical, mn.adr_upper_bound):
                 with pytest.raises(OverflowError):
-                    snr_pdf_nocsi(0.326, p)
+                    metric(p)
+            with pytest.raises(OverflowError):
+                log_snr_rule("nocsi", n)
 
 
 def test_nocsi_density_past_gamma_overflow():
-    # 2b/Gamma(N) underflows for N >= 172; the density is then scaled in log
-    # space and stays exact where the Bessel product is representable
+    # the density shares the CDF's range check, before 2b/Gamma(N) underflows
+    # (N >= 172) and where the order N-1 kve still fits (N = 170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (NOCSI_MAX_N + 1, 172, 256):
+            p = SystemParams(n_elements=n, rho=0.01)
+            for x in (5.0, 2000.0, np.array([0.0, 5.0])):
+                with pytest.raises(OverflowError, match=f"N <= 169, got N = {n}"):
+                    snr_pdf_nocsi(x, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 20, 64, 169])
+def test_nocsi_density_matches_mpmath(n):
+    # b/(N-1) (1 - F_{N-1}(y)) against (2/Gamma(N)) y^((N-1)/2) K_{N-1}(2 sqrt y)
+    # at 50 digits: 2e-15 where the survival comes from the series, 1e-12 above
     mp = pytest.importorskip("mpmath")
-    for n, x in ((172, 5.0), (256, 2000.0)):
-        p = SystemParams(n_elements=n, rho=0.01)
-        with mp.workdps(50):
-            b = mp.mpf(100)
-            z = 2 * mp.sqrt(b * x)
-            ref = float(2 * b / mp.gamma(n) * (z / 2) ** (n - 1) * mp.besselk(n - 1, z))
-        assert abs(snr_pdf_nocsi(x, p) - ref) <= 1e-12 * ref
+    y = np.geomspace(1e-10, 1e3)
+    got = snr_pdf_nocsi(y, SystemParams(n_elements=n))
+    with mp.workdps(50):
+        ref = np.array([float(2 / mp.gamma(n) * mp.mpf(v) ** (mp.mpf(n - 1) / 2)
+                              * mp.besselk(n - 1, 2 * mp.sqrt(mp.mpf(v)))) for v in y])
+    rel = np.abs(got - ref) / ref
+    series = y <= 0.25 * (n - 1)
+    assert np.all(rel[series] <= 2e-15), rel[series].max()
+    assert np.all(rel[~series] <= 1e-12), rel[~series].max()
 
 
 # ---------------------------------------------------------------------------
