@@ -46,6 +46,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
+# The ramp slope needs 2 pi (2^(2D/M) - 1) finite, which holds up to
+# D/M ~ 510.67; the limit is kept at a round value below that.
+_RAMP_MAX_RATIO = 510.0
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,9 @@ def _q_argument_inverse(t: np.ndarray, blocklength: int, bits: float) -> np.ndar
         above = arg(mid) > t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return np.expm1(np.exp(0.5 * (lo + hi)))
+    # for large D/M the top nodes overflow to +inf, where every CDF is 1
+    with np.errstate(over="ignore"):
+        return np.expm1(np.exp(0.5 * (lo + hi)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -229,9 +234,13 @@ def linearization_params(blocklength: int, bits: float) -> LinearizationParams:
 
     center_x0 = 2^(D/M) - 1 and slope_mu = sqrt(M / (2 pi (2^(2D/M) - 1))),
     the negative derivative of the error curve at its half-power point.
+    Raises OverflowError for D/M >= _RAMP_MAX_RATIO, where the slope
+    underflows.
     """
     _check_packet(blocklength, bits)
     ratio = bits / blocklength
+    if ratio >= _RAMP_MAX_RATIO:
+        raise OverflowError(f"ramp needs D/M < {_RAMP_MAX_RATIO:g}, got D/M = {ratio:g}")
     x0 = math.expm1(ratio * _LN2)
     mu = math.sqrt(blocklength / (_TWO_PI * math.expm1(2.0 * ratio * _LN2)))
     return LinearizationParams(slope_mu=mu, center_x0=x0)

@@ -5,10 +5,11 @@ the phase policy of the requested mode and averages the exact per-trial
 rate / error expressions.
 
 Reproducibility contract: trial i consumes exactly 4N uniform doubles from
-a Philox counter stream advanced to block i*N, and per-trial metric values
-are reduced with numpy's fixed pairwise summation over the full trial
-vector.  Estimates are therefore bit-identical for a given (seed, trials)
-regardless of batch size or how batches are distributed across workers.
+a PCG64DXSM stream seeded by the seed and advanced by 4N*i draws (one
+64-bit draw per double), and per-trial metric values are reduced with
+numpy's fixed pairwise summation over the full trial vector.  Estimates
+are therefore bit-identical for a given (seed, trials) regardless of
+batch size or how batches are distributed across workers.
 
 Channels follow an explicit Box-Muller transform (rejection-free, fixed
 consumption), with real/imaginary parts at half the complex variance.  The
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
 
 from . import fbl
 from .channel import SystemParams
@@ -83,12 +84,11 @@ class McEstimate(NamedTuple):
 def _uniform_block(seed: int, start_trial: int, count: int, n_elements: int) -> np.ndarray:
     """(count, 4N) uniforms for trials [start_trial, start_trial + count).
 
-    Each trial owns 4N doubles = N Philox blocks, so substreams depend only
-    on (seed, trial index).
+    Each trial owns 4N consecutive doubles of the PCG64DXSM stream of the
+    seed, which is advanced by 4N*i draws to reach trial i (each double
+    takes one 64-bit draw), so substreams depend only on (seed, trial index).
     """
-    bg = Philox(key=int(seed))
-    if start_trial:
-        bg = bg.advance(start_trial * n_elements)
+    bg = PCG64DXSM(int(seed)).advance(start_trial * 4 * n_elements)
     return Generator(bg).random((count, 4 * n_elements))
 
 

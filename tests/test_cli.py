@@ -337,6 +337,20 @@ def test_exit_partial_failure(monkeypatch, tmp_path, capsys):
     assert "ToleranceError" in text
 
 
+def test_exit_ramp_past_its_ratio_limit(tmp_path):
+    # D/M = 1000 overflows the ramp slope: every ramp point is empty with the limit named
+    out = tmp_path / "x.csv"
+    code = main(["--metric", "adep", "--mode", "nocsi", "--methods", "linearized,approx",
+                 "--n", "8", "--m", "2", "--bits", "2000", "--snr-start", "0",
+                 "--snr-stop", "10", "--snr-step", "10", "--out", str(out)])
+    assert code == 2
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 4
+    assert all(r["value"] == "" and
+               r["note"] == "OverflowError: ramp needs D/M < 510, got D/M = 1000"
+               for r in rows)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_value_is_a_failed_point(monkeypatch, tmp_path, bad):
     monkeypatch.setattr(metrics_nocsi, "adep_linearized", lambda params: bad)

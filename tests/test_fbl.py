@@ -1,6 +1,7 @@
 """Short-packet rate/error formula contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,33 @@ def test_linearization_small_packet_limits():
     lp = fbl.linearization_params(200, 1e-9)
     assert lp.center_x0 < 1e-11
     assert lp.slope_mu > 1e4
+
+
+def test_linearization_ramp_limit_is_named():
+    # 2^(2D/M) overflows the slope from D/M ~ 510.67: a note, not a bare math range error
+    lp = fbl.linearization_params(2, 1019.0)
+    assert lp.slope_mu > 0.0 and math.isfinite(lp.knee_hi)
+    for bits in (1020.0, 2000.0, 8000.0):
+        with pytest.raises(OverflowError,
+                           match=rf"^ramp needs D/M < 510, got D/M = {bits / 2:g}$"):
+            fbl.linearization_params(2, bits)
+    p = SystemParams(n_elements=8, rho=1.0, blocklength=2, packet_bits=2000.0)
+    for ramp in (metrics_nocsi.adep_linearized, metrics_nocsi.adep_approx,
+                 metrics_csi.adep_linearized):
+        with pytest.raises(OverflowError, match="ramp needs D/M < 510, got D/M = 1000"):
+            ramp(p)
+
+
+def test_error_rule_overflowing_nodes_are_silent():
+    # at M = 2, D = 8000 every node x(t) overflows to +inf, where F = 1
+    fbl.error_rule.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = fbl.error_rule(2, 8000.0)
+        p = SystemParams(n_elements=8, rho=10.0, blocklength=2, packet_bits=8000.0)
+        assert metrics_nocsi.adep_numerical(p) == 1.0
+        assert metrics_csi.adep_numerical(p) == 1.0
+    assert np.all(x == np.inf)
 
 
 def test_linearized_q_pieces():

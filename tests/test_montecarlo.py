@@ -80,6 +80,22 @@ def test_sample_realization_matches_batch_stream():
     assert np.array_equal(h1[0], h[2]) and np.array_equal(g1[0], g[2])
 
 
+def test_stream_rows_match_across_tile_boundary_at_max_seed():
+    # N = 1024 draws 16-trial tiles; trial j of one long block is the
+    # single-trial block of j, also past the tile edge and at the largest seed
+    seed, n, k = 2 ** 64 - 1, 1024, 20
+    block = mo._uniform_block(seed, 0, k, n)
+    for j in (0, 1, 15, 16, 17, k - 1):
+        assert np.array_equal(block[j], mo._uniform_block(seed, j, 1, n)[0]), j
+
+
+def test_stream_trials_do_not_overlap():
+    # each trial owns its own 4N draws: the stream must advance 4N per trial
+    n, k = 10, 20
+    u = np.concatenate([mo._uniform_block(5, j, 1, n).ravel() for j in range(k)])
+    assert np.unique(u).size == 4 * n * k
+
+
 def test_sampler_moments():
     u = mo._uniform_block(123, 0, 500_000, 1)
     h, _ = mo._channels_from_uniforms(u, 1.0, 1.0)
