@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics_csi, metrics_nocsi, montecarlo
 from .channel import SystemParams
 from .montecarlo import McConfig
-from .numerics import NonConvergenceError, ToleranceError
+from .numerics import ToleranceError
 
 __all__ = [
     "SweepSpec",
@@ -42,7 +42,7 @@ def _point(call, *args) -> tuple:
     """(value, stderr, "") from call(*args) -> (value, stderr), or (None, None, note) if it fails."""
     try:
         value, stderr = call(*args)
-    except (ToleranceError, NonConvergenceError, OverflowError, ValueError) as exc:
+    except (ToleranceError, OverflowError, ValueError) as exc:
         return None, None, f"{type(exc).__name__}: {exc}"
     return value, stderr, ""
 

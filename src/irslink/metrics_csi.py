@@ -6,10 +6,10 @@ XI ~ Gamma(N k, theta).  The "numerical" rate and error average the exact
 rate or error curve over that law on the fixed rules shared with the
 no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
 ADEP).  The closed forms below combine incomplete gammas, digammas and
-generalized hypergeometric values; everything is assembled in log
-magnitude where factors would otherwise overflow.  Every metric takes a
-float or a 1-D array in params.rho and returns a float or one value per
-rho, each value depending on its own rho alone.
+the error tail's two 1F1 values (scipy's hyp1f1); everything is assembled
+in log magnitude where factors would otherwise overflow.  Every metric
+takes a float or a 1-D array in params.rho and returns a float or one
+value per rho, each value depending on its own rho alone.
 
 The paper's rate closed form (three pFq series and a digamma term) is an
 identity, not an approximation: it equals the Gamma-model Shannon average
@@ -22,12 +22,12 @@ fbl._clamp_prob, silently.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
+from scipy.special import hyp1f1
 
-from . import fbl, metrics_nocsi
+from . import fbl
 from .channel import (
     GammaMatch,
     SystemParams,
@@ -41,9 +41,7 @@ from .numerics import (
     EULER_GAMMA,
     _per_rho,
     digamma,
-    hyp_pfq,
     reg_gamma_lower,
-    reg_gamma_upper,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "adep_linearized",
     "ramp_moment_closed_form",
     "adep_asymptotic",
-    "adep_ratio",
 ]
 
 
@@ -132,9 +129,10 @@ def rate_gap(params: SystemParams) -> float:
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def _knee_args(lp: fbl.LinearizationParams, rho, theta: float):
-    """Gamma-model arguments u = sqrt(x/rho)/theta at the ramp knees lo and hi, per rho."""
-    return np.sqrt(lp.knee_lo / rho) / theta, np.sqrt(lp.knee_hi / rho) / theta
+def _ramp_delta_p(lp: fbl.LinearizationParams, rho, a: float, theta: float):
+    """P(a+2, u(hi)) - P(a+2, u(lo)) with u(x) = sqrt(x/rho)/theta at the ramp knees, per rho."""
+    return (reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_hi / rho) / theta)
+            - reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_lo / rho) / theta))
 
 
 def adep_numerical(params: SystemParams):
@@ -160,48 +158,33 @@ def adep_linearized(params: SystemParams):
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
     a, theta = _gamma_law(params)
-    u_lo, u_hi = _knee_args(lp, params.rho, theta)
-    delta_p = reg_gamma_lower(a + 2.0, u_hi) - reg_gamma_lower(a + 2.0, u_lo)
+    delta_p = _ramp_delta_p(lp, params.rho, a, theta)
     moment_term = lp.slope_mu * params.rho * theta * theta * a * (a + 1.0) * delta_p
     return _ramp_average(snr_cdf_csi, params, lp, moment_term)
 
 
 def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = None,
-                            lp: fbl.LinearizationParams | None = None,
-                            literal_upper: bool = False) -> float:
+                            lp: fbl.LinearizationParams | None = None) -> float:
     """Closed form of the ramp moment int_lo^hi x^(a/2) e^(-u(x)) dx.
 
-    By default the upper incomplete gammas of the antiderivative are folded
-    into a regularized lower difference (exactly equivalent, numerically
-    stable).  literal_upper=True evaluates the printed antiderivative pair
-    -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u) verbatim, which loses all
-    precision once P(a+2, u) is tiny; it exists for fidelity checks at
-    parameter points where the direct difference is representable.
+    The upper incomplete gammas of the antiderivative pair
+    -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u) are folded into a
+    regularized lower difference: exactly equivalent, and it keeps its
+    digits where P(a+2, u) is tiny and the upper gammas nearly cancel.
     """
     lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
     a, theta = _gamma_law(params, match)
     rho = params.rho
-    u_lo, u_hi = _knee_args(lp, rho, theta)
-    log_c = (0.5 * a + 1.0) * math.log(rho) + (a + 2.0) * math.log(theta)
-    if literal_upper:
-        log_gamma_a2 = math.lgamma(a + 2.0)
-        upper_lo = math.exp(log_c + log_gamma_a2 + math.log(reg_gamma_upper(a + 2.0, u_lo)))
-        upper_hi = math.exp(log_c + log_gamma_a2 + math.log(reg_gamma_upper(a + 2.0, u_hi)))
-        return 2.0 * (upper_lo - upper_hi)
-    delta_p = reg_gamma_lower(a + 2.0, u_hi) - reg_gamma_lower(a + 2.0, u_lo)
+    delta_p = _ramp_delta_p(lp, rho, a, theta)
     if delta_p <= 0.0:
         return 0.0
+    log_c = (0.5 * a + 1.0) * math.log(rho) + (a + 2.0) * math.log(theta)
     return 2.0 * math.exp(log_c + math.lgamma(a + 2.0) + math.log(delta_p))
 
 
-@functools.lru_cache(maxsize=64)
-def _tail_series(a: float, blocklength: int, rate: float) -> tuple[float, float]:
-    """1F1((2-a)/4; 1/2; z) and 1F1(1-a/4; 3/2; z), z = -M r^2/2, of the CSI error tail.
-
-    Neither contains rho, so each (a, M, r) sums its pair once.
-    """
-    z = -0.5 * blocklength * rate * rate
-    return hyp_pfq([0.25 * (2.0 - a)], [0.5], z), hyp_pfq([1.0 - 0.25 * a], [1.5], z)
+def _times_exp(f: float, x: float) -> float:
+    """f e^x with ln|f| added to the exponent, so a huge f times a tiny e^x keeps its digits."""
+    return math.copysign(math.exp(x + math.log(abs(f))), f) if f else 0.0
 
 
 def adep_asymptotic(params: SystemParams, form: str = "two_term",
@@ -218,37 +201,35 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
 
     kept verbatim including its empirical constant; its SNR exponent is
     exactly 1/2 - a.
+
+    The rho-free 1F1 values come from scipy; one beyond the double range
+    (large a and |z|) raises OverflowError naming a and z.
     """
+    if form not in ("two_term", "single_term"):
+        raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
     a, theta = _gamma_law(params)
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
-    f_a, f_b = _tail_series(a, m, rs)
+    z = -0.5 * m * rs * rs
+    f_a = float(hyp1f1(0.25 * (2.0 - a), 0.5, z))
+    f_b = float(hyp1f1(1.0 - 0.25 * a, 1.5, z))
+    if not math.isfinite(f_a + f_b):
+        raise OverflowError(f"adep_asymptotic needs finite 1F1 tail values, got "
+                            f"{f_a:g} and {f_b:g} at a = N k = {a:g}, z = -M r^2/2 = {z:g}")
     alpha, beta = params.alpha, params.beta
     if form == "single_term":
-        return _per_rho(lambda r: f_a * math.exp(
+        return _per_rho(lambda r: _times_exp(f_a, (
             (1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
             + math.lgamma(0.25 * a) - math.lgamma(a)
-            + (0.5 - a) * math.log(r * alpha * beta)), params.rho)
-    if form != "two_term":
-        raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
+            + (0.5 - a) * math.log(r * alpha * beta))), params.rho)
 
     def two_term(r):
         log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
                     - 0.5 * a * math.log(r) - a * math.log(theta) - math.lgamma(a))
-        term_a = math.sqrt(2.0) * f_a * math.exp(log_pref + math.lgamma(0.25 * a))
-        term_b = (2.0 * math.sqrt(m) * rs * f_b
-                  * math.exp(log_pref + math.lgamma(0.25 * (a + 2.0))))
+        term_a = math.sqrt(2.0) * _times_exp(f_a, log_pref + math.lgamma(0.25 * a))
+        term_b = (2.0 * math.sqrt(m) * rs
+                  * _times_exp(f_b, log_pref + math.lgamma(0.25 * (a + 2.0))))
         return term_a + term_b
 
     return _per_rho(two_term, params.rho)
 
-
-def adep_ratio(params: SystemParams, rs_convention: str = "nats"):
-    """CSI-to-no-CSI ratio of the asymptotic error probabilities, per rho.
-
-    Quotient of the two-term CSI asymptote and the no-CSI asymptote, so the
-    SNR scaling is exactly (alpha beta rho)^(1 - a/2).
-    """
-    num = adep_asymptotic(params, form="two_term", rs_convention=rs_convention)
-    den = metrics_nocsi.adep_asymptotic(params, rs_convention=rs_convention)
-    return num / den

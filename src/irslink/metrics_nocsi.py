@@ -145,7 +145,12 @@ def adep_approx(params: SystemParams):
     lo, hi, mu = lp.knee_lo, lp.knee_hi, lp.slope_mu
     alpha, beta = params.alpha, params.beta
     df2 = 0.5 * (hi * hi - lo * lo)
-    df1 = (hi ** 3 - lo ** 3) / 3.0
+    try:
+        df1 = (hi ** 3 - lo ** 3) / 3.0
+    except OverflowError:
+        raise OverflowError(
+            f"adep_approx needs the cubed upper knee hi^3 finite, got hi = {hi:g} "
+            f"at D/M = {params.packet_bits / params.blocklength:g}") from None
 
     def moment(r):
         rab = r * alpha * beta

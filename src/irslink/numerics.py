@@ -3,12 +3,11 @@
 Everything downstream (channel distributions, rate/error metrics) funnels
 through this module, so the contracts here are deliberately strict:
 
-  - the standard special functions the link metrics need (digamma,
-    regularized incomplete gammas, the Gaussian tail Q and its inverse)
-    come from the mature scipy implementations;
-  - the generalized hypergeometric pFq (the confluent pair of the CSI
-    error tail) is summed here by term ratios, and stops at the first
-    term that overflows;
+  - the standard special functions the link metrics need (digamma, the
+    regularized lower incomplete gamma, the Gaussian tail Q and its
+    inverse) come from the mature scipy implementations, as does the
+    confluent 1F1 pair of the CSI error tail, which metrics_csi calls
+    from scipy directly;
   - the modified Bessel K enters only through the no-CSI K-law
     F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q) and its survival
     (_k_law): the small-argument series of K_n where 1 - (...) cancels,
@@ -39,16 +38,13 @@ import scipy.special as sc
 
 __all__ = [
     "DomainError",
-    "NonConvergenceError",
     "ToleranceError",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "digamma",
     "reg_gamma_lower",
-    "reg_gamma_upper",
     "q_func",
     "q_inv",
-    "hyp_pfq",
     "gauss_legendre_panels",
     "integrate_semi_infinite",
     "integrate_interval",
@@ -62,10 +58,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Series summation exceeded its term budget without converging."""
 
 
 class ToleranceError(RuntimeError):
@@ -130,11 +122,6 @@ def digamma(x: float) -> float:
 def reg_gamma_lower(a, x):
     """Regularized lower incomplete gamma P(a, x); array-friendly."""
     return sc.gammainc(a, x)
-
-
-def reg_gamma_upper(a, x):
-    """Regularized upper incomplete gamma Q(a, x); array-friendly."""
-    return sc.gammaincc(a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -282,61 +269,6 @@ def q_inv(p: float) -> float:
             break
         x += (float(q_func(x)) - p) / pdf
     return x
-
-
-# ---------------------------------------------------------------------------
-# generalized hypergeometric pFq
-# ---------------------------------------------------------------------------
-
-_PFQ_REL_TOL = 1e-15
-_PFQ_MAX_TERMS = 10 ** 6
-
-
-def hyp_pfq(a_list, b_list, z: float) -> float:
-    """Generalized hypergeometric pFq(a_list; b_list; z) by term-ratio summation.
-
-    term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)
-
-    Stops once |term| / |partial sum| < 1e-15 for two consecutive terms
-    (a single small term can be an accidental sign-change zero); raises
-    NonConvergenceError once a term overflows (the sum can no longer be
-    finite) or after 10^6 terms.
-    """
-    a = [float(v) for v in a_list]
-    b = [float(v) for v in b_list]
-    for bj in b:
-        if bj <= 0.0 and bj == int(bj):
-            raise DomainError(f"pFq pole: b parameter {bj} is a nonpositive integer")
-    total = 1.0
-    if z != 0.0:
-        term = 1.0
-        small_streak = 0
-        for k in range(_PFQ_MAX_TERMS):
-            num = 1.0
-            for ai in a:
-                num *= ai + k
-            den = 1.0
-            for bj in b:
-                den *= bj + k
-            term *= num / den * z / (k + 1.0)
-            total += term
-            mag = abs(term)
-            if mag == math.inf:
-                raise NonConvergenceError(
-                    f"pFq({a_list}; {b_list}; {z}) overflowed at term {k + 1}")
-            if mag < _PFQ_REL_TOL * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-                if term == 0.0:
-                    break
-        else:
-            raise NonConvergenceError(
-                f"pFq({a_list}; {b_list}; {z}) did not converge within {_PFQ_MAX_TERMS} terms"
-            )
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import io
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from irslink import cli, metrics_csi, metrics_nocsi, montecarlo
 from irslink.channel import SystemParams
 from irslink.cli import MetricCurve, PRESETS, SweepSpec, emit_csv, main, run_sweep
 from irslink.montecarlo import McConfig
-from irslink.numerics import NonConvergenceError, ToleranceError
+from irslink.numerics import ToleranceError
 
 FAST_MC = McConfig(trials=50, seed=1)
 
@@ -130,7 +131,7 @@ def _library_point(call, params):
     """(value, note) of one library call, as run_sweep records it."""
     try:
         return call(params), ""
-    except (ToleranceError, NonConvergenceError, OverflowError, ValueError) as exc:
+    except (ToleranceError, OverflowError, ValueError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -351,6 +352,19 @@ def test_exit_ramp_past_its_ratio_limit(tmp_path):
                for r in rows)
 
 
+def test_exit_approx_past_its_cubed_knee_limit(tmp_path):
+    # D/M = 350 is inside the ramp's limit, but the cube of the upper knee overflows
+    out = tmp_path / "x.csv"
+    code = main(["--metric", "adep", "--mode", "nocsi", "--methods", "approx", "--n", "8",
+                 "--m", "2", "--bits", "700", "--snr-start", "0", "--snr-stop", "0",
+                 "--out", str(out)])
+    assert code == 2
+    (row,) = list(csv.DictReader(out.open()))
+    assert row["value"] == ""
+    assert row["note"].startswith("OverflowError: adep_approx needs the cubed upper knee hi^3 ")
+    assert row["note"].endswith(" at D/M = 350")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_value_is_a_failed_point(monkeypatch, tmp_path, bad):
     monkeypatch.setattr(metrics_nocsi, "adep_linearized", lambda params: bad)
@@ -422,3 +436,21 @@ def test_module_entry_point_runs_without_runtime_warning():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("metric,mode,method,n,snr_db,value,stderr,note")
+
+
+def test_csi_error_tail_past_series_cancellation_under_warnings_as_errors():
+    # at M = 200, D = 500 the alternating 1F1 series of the CSI error tail
+    # cancels in double precision; the values stay positive and finite
+    src = str(Path(irslink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "irslink.cli",
+         "--metric", "adep", "--mode", "csi", "--methods", "asymptotic", "--n", "5",
+         "--m", "200", "--bits", "500", "--snr-start", "40", "--snr-stop", "60",
+         "--snr-step", "20"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [r["snr_db"] for r in rows] == ["40", "60"]
+    assert all(r["note"] == "" and 0.0 < float(r["value"]) < math.inf for r in rows)

@@ -1,8 +1,9 @@
-"""CSI metric contracts: Gamma-model rate/error forms and the gap/ratio laws."""
+"""CSI metric contracts: Gamma-model rate/error forms, the rate gap and the error tail."""
 
 import dataclasses
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -254,19 +255,6 @@ def test_ramp_moment_closed_form_vs_quadrature():
             assert abs(closed - quad) <= 1e-6 * quad, (n, rho)
 
 
-def test_ramp_moment_literal_upper_form_where_representable():
-    # small shape and low SNR keep the upper-gamma difference well conditioned
-    p = SystemParams(n_elements=2, rho=0.005)
-    m = gamma_match(1.0, 1.0)
-    lp = fbl.linearization_params(200, 100.0)
-    a = 2 * m.shape
-    lo, hi = max(0.0, lp.knee_lo), lp.knee_hi
-    literal = mc.ramp_moment_closed_form(p, m, lp, literal_upper=True)
-    quad = integrate_interval(
-        lambda t: t ** (0.5 * a) * np.exp(-np.sqrt(t / 0.005) / m.scale), lo, hi)
-    assert abs(literal - quad) <= 1e-6 * quad
-
-
 def test_adep_asymptotic_two_vs_single_term():
     two = mc.adep_asymptotic(P20, form="two_term")
     one = mc.adep_asymptotic(P20, form="single_term")
@@ -295,31 +283,56 @@ def test_adep_asymptotic_decreasing_in_rho():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_adep_ratio_consistency_and_exponent():
-    p = _at(P20, rho=2.0)
-    quotient = mc.adep_asymptotic(p) / mn.adep_asymptotic(p)
-    assert abs(mc.adep_ratio(p) - quotient) <= 1e-9 * quotient
-    a = 20 * gamma_match(1.0, 1.0).shape
-    r1, r2 = mc.adep_ratio(p), mc.adep_ratio(_at(P20, rho=2.0 * math.e))
-    assert abs(math.log(r2 / r1) - (1.0 - 0.5 * a)) < 1e-9
+def _error_tail_reference(n, blocklength, bits, convention):
+    """adep_asymptotic's two forms at 50 digits with mpmath's 1F1, as functions of a float rho.
+
+    Also returns whether a 1F1 value lies beyond the double range, where
+    the library raises instead.
+    """
+    mp = pytest.importorskip("mpmath")
+    match = gamma_match(1.0, 1.0)
+    rs_float = fbl.packet_rate(blocklength, bits, convention)
+    with mp.workdps(50):
+        a, theta = n * mp.mpf(match.shape), mp.mpf(match.scale)
+        m, rs = mp.mpf(blocklength), mp.mpf(rs_float)
+        z = -m * rs ** 2 / 2
+        f_a = mp.hyp1f1((2 - a) / 4, mp.mpf(0.5), z)
+        f_b = mp.hyp1f1(1 - a / 4, mp.mpf(1.5), z)
+        single = (f_a * 2 ** (mp.mpf(1.28564) * a - 2) * m ** (-a / 4)
+                  * mp.gamma(a / 4) / mp.gamma(a))
+        two = (2 ** (a / 4 - mp.mpf(3.5)) * m ** (-a / 4) * theta ** (-a) / mp.gamma(a)
+               * (mp.sqrt(2) * f_a * mp.gamma(a / 4)
+                  + 2 * mp.sqrt(m) * rs * f_b * mp.gamma((a + 2) / 4)))
+        overflows = max(abs(f_a), abs(f_b)) > sys.float_info.max
+
+    def value(form, rho):
+        with mp.workdps(50):
+            rho = mp.mpf(rho)
+            if form == "single_term":
+                return float(single * rho ** (mp.mpf(0.5) - a))
+            return float(two * rho ** (-a / 2))
+
+    return value, overflows
 
 
-def test_adep_ratio_below_one_at_unit_snr_and_up():
-    for rho in (1.0, 10.0, 100.0):
-        assert mc.adep_ratio(_at(P20, rho=rho)) < 1.0
-
-
-def test_adep_ratio_matches_printed_constant_structure():
-    # reconstruction with the reported decimal constants 0.199471 / 0.891137
-    # agrees with the exact quotient to those constants' rounding level
-    p = P20
-    m = gamma_match(1.0, 1.0)
-    a = 20 * m.shape
-    mblk = p.blocklength
-    rs = fbl.packet_rate(mblk, p.packet_bits, "nats")
-    f_a = mc.hyp_pfq([0.25 * (2.0 - a)], [0.5], -0.5 * mblk * rs * rs)
-    log_printed = (math.log(0.199471) + math.lgamma(20.0) - math.lgamma(19.0)
-                   + (0.5 - 0.25 * a) * math.log(mblk) + math.lgamma(0.25 * a)
-                   + 0.891137 * a - 0.5 / mblk - rs - math.lgamma(a))
-    printed = f_a * math.exp(log_printed)
-    assert abs(printed / mc.adep_ratio(p) - 1.0) < 0.02
+@pytest.mark.parametrize("convention", ["nats", "bits"])
+@pytest.mark.parametrize("n", [1, 5, 20, 64, 1024])
+def test_adep_asymptotic_matches_mpmath(n, convention):
+    # scipy's 1F1 keeps its digits where the alternating series cancels
+    # (|z| = M r^2/2 up to 900 here); values are compared relatively down to
+    # the smallest normal double, and a 1F1 beyond the double range is a
+    # named OverflowError, not a NaN
+    for blocklength, bits in [(200, 100.0), (50, 300.0), (200, 500.0)]:
+        ref, overflows = _error_tail_reference(n, blocklength, bits, convention)
+        for form in ("two_term", "single_term"):
+            for snr_db in (0, 20, 40, 60):
+                p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0),
+                                 blocklength=blocklength, packet_bits=bits)
+                if overflows:
+                    with pytest.raises(OverflowError, match=r"finite 1F1 tail values.*a = N k"):
+                        mc.adep_asymptotic(p, form=form, rs_convention=convention)
+                    continue
+                val = mc.adep_asymptotic(p, form=form, rs_convention=convention)
+                expected = ref(form, p.rho)
+                assert abs(val - expected) <= 1e-12 * max(abs(expected), sys.float_info.min), (
+                    blocklength, bits, form, snr_db, val, expected)

@@ -137,6 +137,16 @@ def test_adep_approx_domain_error_small_n():
         mn.adep_approx(SystemParams(n_elements=2, rho=10.0))
 
 
+def test_adep_approx_cubed_knee_overflow_is_named():
+    # hi^3 overflows from D/M ~ 340.4 (M = 2), below the ramp's D/M < 510
+    # limit: a note naming the knee and D/M, not a bare errno message
+    p = SystemParams(n_elements=8, blocklength=2, packet_bits=680.0)
+    assert 0.0 <= mn.adep_approx(p) <= 1.0
+    with pytest.raises(OverflowError, match=r"^adep_approx needs the cubed upper knee hi\^3 "
+                                            r"finite, got hi = \S+ at D/M = 350$"):
+        mn.adep_approx(dataclasses.replace(p, packet_bits=700.0))
+
+
 def test_adep_linearized_step_limit(monkeypatch):
     # mu -> infinity collapses the ramp onto the CDF at the center; probed at
     # mu = 1e5 where CDF differencing across the ramp still has full precision

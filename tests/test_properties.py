@@ -18,13 +18,6 @@ def test_q_roundtrip_property(p):
 
 
 @COMMON
-@given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=0, max_size=2),
-       st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=3))
-def test_hyp_pfq_unit_at_origin(a, b):
-    assert nx.hyp_pfq(a, b, 0.0) == 1.0
-
-
-@COMMON
 @given(st.floats(min_value=0.0, max_value=1e6))
 def test_dispersion_range(g):
     v = fbl.dispersion(g)
