@@ -72,10 +72,9 @@ class SystemParams:
 
     n_elements: number of reflecting elements N
     alpha, beta: per-element channel variances of the two hops
-    rho: transmit SNR P/sigma^2 (linear); every deterministic metric but
-        the no-CSI ramp (metrics_nocsi.adep_linearized) also takes a 1-D
-        array of them and returns one value per rho, and the SNR CDFs
-        broadcast an array rho against x
+    rho: transmit SNR P/sigma^2 (linear); every deterministic metric also
+        takes a 1-D array of them and returns one value per rho, and the
+        SNR CDFs broadcast an array rho against x
     blocklength: channel uses per packet M
     target_eps: decoding error target used by rate evaluation
     packet_bits: payload size D in bits used by error evaluation

@@ -47,25 +47,11 @@ def _point(call, *args) -> tuple:
     return value, stderr, ""
 
 
-def _per_point(evaluate_point):
-    """Curve evaluator calling evaluate_point(params, mc, rs_convention) at each rho."""
-    def evaluate(spec, n, rhos):
-        return [_point(evaluate_point, spec._params(n, rho), spec.mc, spec.rs_convention)
-                for rho in rhos]
-    return evaluate
-
-
-def _exact(formula):
-    """Curve evaluator of a deterministic formula(params, rs_convention), point by point."""
-    return _per_point(lambda params, mc, rs_convention: (formula(params, rs_convention), None))
-
-
 def _sampled(estimator):
     """Curve evaluator of a Monte-Carlo estimator(params, mc) -> McEstimate, point by point."""
-    def evaluate_point(params, mc, rs_convention):
-        est = estimator(params, mc)
-        return est.value, est.stderr
-    return _per_point(evaluate_point)
+    def evaluate(spec, n, rhos):
+        return [_point(estimator, spec._params(n, rho), spec.mc) for rho in rhos]
+    return evaluate
 
 
 def _batched(metric):
@@ -92,8 +78,7 @@ _adr_csi_closed = _batched(lambda p, rs: metrics_csi.adr_closed_form(p))
 
 # (metric, mode) -> {method: evaluator(spec, n, rhos) -> [(value|None, stderr|None,
 # note)] per rho}.  Every deterministic method is _batched, one call per
-# curve, except the no-CSI ramp (adaptive quadrature, one rho per call),
-# which is _exact; Monte-Carlo is _sampled.  Both of those run per point.
+# curve; Monte-Carlo is _sampled, one estimate per point.
 _EVALUATORS = {
     ("adr", "nocsi"): {
         "numerical": _batched(lambda p, rs: metrics_nocsi.adr_numerical(p)),
@@ -114,7 +99,7 @@ _EVALUATORS = {
     },
     ("adep", "nocsi"): {
         "numerical": _batched(lambda p, rs: metrics_nocsi.adep_numerical(p)),
-        "linearized": _exact(lambda p, rs: metrics_nocsi.adep_linearized(p)),
+        "linearized": _batched(lambda p, rs: metrics_nocsi.adep_linearized(p)),
         "approx": _batched(lambda p, rs: metrics_nocsi.adep_approx(p)),
         "asymptotic": _batched(
             lambda p, rs: metrics_nocsi.adep_asymptotic(p, rs_convention=rs)),
@@ -288,7 +273,7 @@ _BASE_DEFAULTS = dict(
     snr_start=-10.0, snr_stop=30.0, snr_step=2.0,
     m=SystemParams.blocklength, eps=SystemParams.target_eps, bits=SystemParams.packet_bits,
     alpha=SystemParams.alpha, beta=SystemParams.beta,
-    trials=McConfig.trials, seed=McConfig.seed, batch=McConfig.batch,
+    trials=McConfig.trials, seed=McConfig.seed,
     rs_convention=SweepSpec.rs_convention, out="-",
 )
 
@@ -340,7 +325,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, help="outgoing-hop variance")
     p.add_argument("--trials", type=int, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-    p.add_argument("--batch", type=int, help="Monte-Carlo batch size")
     p.add_argument("--rs-convention", choices=["nats", "bits"], dest="rs_convention",
                    help="rate convention for asymptotic error formulas")
     p.add_argument("--out", help="output CSV path, '-' for stdout")
@@ -368,7 +352,7 @@ def _parse_args(argv) -> tuple[SweepSpec, str]:
         n_values=tuple(int(t) for t in s.n.split(",") if t.strip()),
         alpha=s.alpha, beta=s.beta, blocklength=s.m,
         target_eps=s.eps, packet_bits=s.bits,
-        mc=McConfig(trials=s.trials, seed=s.seed, batch=s.batch),
+        mc=McConfig(trials=s.trials, seed=s.seed),
         rs_convention=s.rs_convention), s.out
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "error_rule",
     "average_error",
     "linearization_params",
-    "linearized_q",
     "packet_rate",
 ]
 
@@ -257,20 +256,6 @@ def _ramp_average(cdf, params, lp: LinearizationParams, moment_term):
     f_lo, f_hi = cdf(np.array([[lp.knee_lo], [lp.knee_hi]]), params)
     val = _clamp_prob(f_lo + (0.5 + lp.slope_mu * lp.center_x0) * (f_hi - f_lo) - moment_term)
     return float(val[0]) if np.ndim(params.rho) == 0 else val
-
-
-def linearized_q(x, lp: LinearizationParams):
-    """Three-piece ramp standing in for the exact error curve.
-
-    1 on the left plateau, 1/2 - mu (x - x0) on the ramp, 0 past the right
-    knee.  Continuous and nonincreasing.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("linearized_q requires x >= 0")
-    ramp = 0.5 - lp.slope_mu * (x_arr - lp.center_x0)
-    val = np.clip(ramp, 0.0, 1.0)
-    return float(val) if np.ndim(x) == 0 else val
 
 
 def packet_rate(blocklength: int, bits: float, convention: str = "nats") -> float:

@@ -16,16 +16,16 @@ Each metric exists in up to three strengths:
 
 The Shannon average (upper bound) runs on the same ADR rule.  The ramp
 average is, by parts, mu times the integral of the CDF between the knees;
-it is the one adaptive quadrature left here, and adep_linearized the one
-metric that takes a single rho.  Every other one takes a float or a 1-D
-array in params.rho and returns a float or one value per rho: the
-closed-form ramp calls the CDF once, on the (rho, knee) grid, and the
-asymptotes are elementwise in rho.
+it is the one adaptive quadrature left here, one integral per rho.  Every
+metric takes a float or a 1-D array in params.rho and returns a float or
+one value per rho: the closed-form ramp calls the CDF once, on the
+(rho, knee) grid, and the asymptotes are elementwise in rho.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -108,17 +108,22 @@ def adep_numerical(params: SystemParams):
     return _clamp_prob(fbl.average_error(snr_cdf_nocsi, params))
 
 
-def adep_linearized(params: SystemParams) -> float:
-    """Ramp-averaged error, by parts mu * int_lo^hi F(x) dx on the exact CDF.
+def adep_linearized(params: SystemParams):
+    """Ramp-averaged error, per rho, by parts mu * int_lo^hi F(x) dx on the exact CDF.
 
     The ramp falls from 1 to 0 between its knees lo (clamped at 0) and hi
     with slope -mu, so E[ramp(X)] = mu * int_lo^hi F(x) dx; the integral is
-    adaptive, to a relative tolerance of 1e-10.
+    adaptive, to a relative tolerance of 1e-10, one integral per rho.
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    ramp = integrate_interval(lambda x: snr_cdf_nocsi(x, params), lp.knee_lo, lp.knee_hi,
-                              _RAMP_SPEC)
-    return _clamp_prob(lp.slope_mu * ramp)
+
+    def ramp(p):
+        return lp.slope_mu * integrate_interval(
+            lambda x: snr_cdf_nocsi(x, p), lp.knee_lo, lp.knee_hi, _RAMP_SPEC)
+
+    if np.ndim(params.rho) == 0:
+        return _clamp_prob(ramp(params))
+    return _clamp_prob(np.array([ramp(replace(params, rho=r)) for r in params.rho.tolist()]))
 
 
 def adep_approx(params: SystemParams):

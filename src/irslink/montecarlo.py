@@ -8,8 +8,8 @@ Reproducibility contract: trial i consumes exactly 4N uniform doubles from
 a PCG64DXSM stream seeded by the seed and advanced by 4N*i draws (one
 64-bit draw per double), and per-trial metric values are reduced with
 numpy's fixed pairwise summation over the full trial vector.  Estimates
-are therefore bit-identical for a given (seed, trials) regardless of
-batch size or how batches are distributed across workers.
+are therefore bit-identical for a given (seed, trials) however the trials
+are split into chunks or distributed across workers.
 
 Channels follow an explicit Box-Muller transform (rejection-free, fixed
 consumption), with real/imaginary parts at half the complex variance.  The
@@ -17,9 +17,10 @@ SNR kernel needs only each element's amplitude product |h_i||g_i| and, for
 no-CSI, its phase difference, so it works in real arithmetic; the complex
 channels of _channels_from_uniforms are its test reference.
 
-Memory: McConfig.batch bounds the trials of one metric evaluation (SNR and
-metric vectors of batch doubles), and the kernel draws uniforms in tiles
-of _TILE_UNIFORMS doubles, so draw memory is fixed whatever N and batch.
+Memory: the per-trial values of all trials are kept for the reduction;
+_CHUNK_TRIALS bounds the trials of one metric evaluation (its SNR and
+temporaries), and the kernel draws uniforms in tiles of _TILE_UNIFORMS
+doubles, so draw memory is fixed whatever N and trials.
 
 The error estimator averages the exact per-trial error expression rather
 than Bernoulli decode outcomes: the target quantity is the expectation of
@@ -30,6 +31,7 @@ would need infeasibly many trials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,27 +53,24 @@ _TWO_PI = 2.0 * math.pi
 _MODES = ("csi", "nocsi")
 # Uniforms drawn at once by the SNR kernel: 2^16 doubles = 512 KiB.
 _TILE_UNIFORMS = 2 ** 16
+# Trials whose SNR and metric values are evaluated at once.
+_CHUNK_TRIALS = 20_000
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, stream seed and batch size for vector evaluation.
-
-    batch bounds the trials whose SNR and metric values are evaluated at
-    once; the uniforms behind them are drawn in fixed tiles, so batch does
-    not bound draw memory and does not change any estimate.
-    """
+    """Trial count and stream seed of a Monte-Carlo estimate, both integers."""
 
     trials: int = 10_000
     seed: int = 0
-    batch: int = 20_000
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # a standard error needs two trials
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -156,8 +155,8 @@ def _snr_block(params: SystemParams, mode: str, seed: int,
 
 def _per_trial_values(params: SystemParams, mode: str, mc: McConfig, fn) -> np.ndarray:
     values = np.empty(mc.trials)
-    for start in range(0, mc.trials, mc.batch):
-        count = min(mc.batch, mc.trials - start)
+    for start in range(0, mc.trials, _CHUNK_TRIALS):
+        count = min(_CHUNK_TRIALS, mc.trials - start)
         snr = _snr_block(params, mode, mc.seed, start, count)
         values[start:start + count] = fn(snr)
     return values

@@ -172,12 +172,13 @@ def test_criterion_10_per_realization_dominance():
             f"per-seed error-prob dominance violations: {err_violation} (== 0)")
 
 
-def test_criterion_11_determinism_across_batches():
+def test_criterion_11_determinism_across_batches(monkeypatch):
     outputs = []
     for batch in (137, 1_000, 10_000):
+        monkeypatch.setattr(mo, "_CHUNK_TRIALS", batch)
         spec = SweepSpec(metric="adep", mode="csi", methods=("montecarlo",),
                          snr_start_db=-10.0, snr_stop_db=0.0, snr_step_db=5.0,
-                         n_values=(20,), mc=McConfig(trials=10_000, seed=99, batch=batch))
+                         n_values=(20,), mc=McConfig(trials=10_000, seed=99))
         buf = io.StringIO()
         emit_csv(run_sweep(spec), buf)
         outputs.append(buf.getvalue())

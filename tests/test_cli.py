@@ -140,10 +140,11 @@ def _library_point(call, params):
     for (metric, mode), methods in cli.VALID_METHODS.items() for method in methods
     if method != "montecarlo"])
 def test_point_does_not_depend_on_its_curve(metric, mode, method):
-    # a rule-based curve is one batched call; -30..50 dB crosses both
-    # branches of the no-CSI CDF at every N
+    # a deterministic curve is one batched call; -30..50 dB crosses both
+    # branches of the no-CSI CDF at every N, and at N = 170, past the no-CSI
+    # law's limit, each point must carry the scalar call's note
     call = LIBRARY_CALLS[(metric, mode, ALIAS_TARGETS.get((metric, mode, method), method))]
-    for n in (1, 20, 64):
+    for n in (1, 20, 64, 170):
         spec = small_spec(metric=metric, mode=mode, methods=(method,), n_values=(n,),
                           snr_start_db=-30.0, snr_stop_db=50.0, snr_step_db=10.0)
         buf = io.StringIO()
@@ -283,8 +284,10 @@ def test_config_file_precedence(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_factor=9\n")
-    assert main(["--config", str(cfg)]) == 1
+    # the Monte-Carlo chunk size is fixed, so batch is no key
+    for line in ("warp_factor=9\n", "batch=10\n"):
+        cfg.write_text(line)
+        assert main(["--config", str(cfg)]) == 1
 
 
 def test_config_file_values_convert_like_flags(tmp_path):
@@ -308,6 +311,7 @@ def test_exit_invalid_invocation():
     assert main(["--metric", "bogus"]) == 1
     assert main(["--metric", "adr", "--mode", "csi", "--methods", "lower_bound"]) == 1
     assert main(["--snr-step", "-2"]) == 1
+    assert main(["--batch", "10"]) == 1
     # a standard error needs two trials
     assert main(["--methods", "montecarlo", "--trials", "1",
                  "--snr-start", "0", "--snr-stop", "0"]) == 1
@@ -367,7 +371,7 @@ def test_exit_approx_past_its_cubed_knee_limit(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_value_is_a_failed_point(monkeypatch, tmp_path, bad):
-    monkeypatch.setattr(metrics_nocsi, "adep_linearized", lambda params: bad)
+    monkeypatch.setattr(metrics_nocsi, "adep_linearized", lambda params: [bad] * len(params.rho))
     out = tmp_path / "x.csv"
     code = main(["--metric", "adep", "--mode", "nocsi", "--methods", "linearized",
                  "--n", "2", "--snr-start", "0", "--snr-stop", "2", "--snr-step", "2",
@@ -379,14 +383,15 @@ def test_non_finite_value_is_a_failed_point(monkeypatch, tmp_path, bad):
     assert all(r["note"] == f"non-finite value {bad}" for r in rows)
 
 
-def test_cli_csv_identical_across_batch_sizes(tmp_path):
+def test_cli_csv_identical_across_batch_sizes(monkeypatch, tmp_path):
     outs = []
-    for batch in ("100", "137", "1000"):
+    for batch in (100, 137, 1000):
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", batch)
         dest = tmp_path / f"b{batch}.csv"
         code = main(["--metric", "adep", "--mode", "csi", "--methods", "montecarlo",
                      "--n", "4", "--snr-start", "0", "--snr-stop", "4",
                      "--snr-step", "2", "--trials", "1000", "--seed", "5",
-                     "--batch", batch, "--out", str(dest)])
+                     "--out", str(dest)])
         assert code == 0
         outs.append(dest.read_bytes())
     assert outs[0] == outs[1] == outs[2]

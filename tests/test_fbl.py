@@ -131,18 +131,6 @@ def test_error_rule_overflowing_nodes_are_silent():
     assert np.all(x == np.inf)
 
 
-def test_linearized_q_pieces():
-    lp = fbl.linearization_params(200, 100.0)
-    assert fbl.linearized_q(lp.center_x0, lp) == 0.5
-    assert abs(fbl.linearized_q(lp.knee_hi, lp)) < 1e-12
-    assert fbl.linearized_q(1.01 * lp.knee_hi, lp) == 0.0
-    assert fbl.linearized_q(0.0, lp) == 1.0  # lower knee is positive here
-    xs = np.linspace(0.0, 1.0, 500)
-    vals = fbl.linearized_q(xs, lp)
-    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert np.all(np.diff(vals) <= 1e-15)
-
-
 @pytest.mark.parametrize("metrics,pdf", [(metrics_nocsi, snr_pdf_nocsi),
                                          (metrics_csi, snr_pdf_csi)])
 def test_linearized_q_is_the_adep_linearized_ramp(metrics, pdf):
@@ -154,8 +142,12 @@ def test_linearized_q_is_the_adep_linearized_ramp(metrics, pdf):
             p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0))
             lp = fbl.linearization_params(p.blocklength, p.packet_bits)
             lo, hi = max(0.0, lp.knee_lo), lp.knee_hi
+
+            def ramp(x):
+                return np.clip(0.5 - lp.slope_mu * (x - lp.center_x0), 0.0, 1.0)
+
             ref = (integrate_interval(lambda x: pdf(x, p), 0.0, lo)
-                   + integrate_interval(lambda x: fbl.linearized_q(x, lp) * pdf(x, p), lo, hi))
+                   + integrate_interval(lambda x: ramp(x) * pdf(x, p), lo, hi))
             val = metrics.adep_linearized(p)
             assert abs(val - ref) <= 1e-8 * ref, (n, snr_db, val, ref)
 

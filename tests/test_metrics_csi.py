@@ -180,7 +180,7 @@ def test_adep_numerical_beats_nocsi():
 def test_adep_numerical_vs_monte_carlo():
     # compare where the value is Monte-Carlo measurable
     p = _at(P20, rho=0.01)  # -20 dB, ADEP ~ 2e-5
-    est = empirical_adep(p, "csi", McConfig(trials=1_000_000, seed=13, batch=100_000))
+    est = empirical_adep(p, "csi", McConfig(trials=1_000_000, seed=13))
     num = mc.adep_numerical(p)
     assert 0.5 < est.value / num < 2.0
 

@@ -19,22 +19,28 @@ def test_mc_config_validation():
         McConfig(trials=0)
     with pytest.raises(ValueError, match="trials must be >= 2"):
         McConfig(trials=1)
-    with pytest.raises(ValueError):
-        McConfig(batch=0)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        McConfig(trials=100.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        McConfig(trials=100, seed=1.5)
     with pytest.raises(ValueError):
         McConfig(seed=-1)
     with pytest.raises(ValueError):
         McConfig(seed=2 ** 64)
 
 
-def test_batch_independence_bit_identical():
-    # N = 1024 draws 16-trial tiles: batches of 1 and 13 straddle them
+def test_batch_independence_bit_identical(monkeypatch):
+    # N = 1024 draws 16-trial tiles: chunks of 1 and 13 straddle them
     cases = [(P20, 30_000, (999, 7_000, 30_000)),
              (SystemParams(n_elements=1024, rho=1.0), 100, (1, 13, 5_000))]
+
+    def adr(params, mode, trials, chunk):
+        monkeypatch.setattr(mo, "_CHUNK_TRIALS", chunk)
+        return mo.empirical_adr(params, mode, McConfig(trials=trials, seed=3))
+
     for params, trials, batches in cases:
         for mode in ("nocsi", "csi"):
-            ests = [mo.empirical_adr(params, mode, McConfig(trials=trials, seed=3, batch=b))
-                    for b in batches]
+            ests = [adr(params, mode, trials, b) for b in batches]
             assert all(e.value == ests[0].value and e.stderr == ests[0].stderr
                        for e in ests), (params.n_elements, mode)
 
@@ -43,7 +49,7 @@ def test_draw_memory_bounded_by_tile():
     p = SystemParams(n_elements=1024, rho=1.0)
     tracemalloc.start()
     try:
-        mo.empirical_adr(p, "nocsi", McConfig(trials=5_000, seed=1, batch=20_000))
+        mo.empirical_adr(p, "nocsi", McConfig(trials=5_000, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

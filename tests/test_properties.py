@@ -25,17 +25,6 @@ def test_dispersion_range(g):
 
 
 @COMMON
-@given(st.integers(min_value=10, max_value=2000),
-       st.floats(min_value=1.0, max_value=500.0))
-def test_linearized_q_shape(m, d):
-    lp = fbl.linearization_params(m, d)
-    xs = np.linspace(0.0, max(4.0 * lp.knee_hi, 1.0), 200)
-    vals = fbl.linearized_q(xs, lp)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-    assert np.all(np.diff(vals) <= 1e-12)
-
-
-@COMMON
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.integers(min_value=1, max_value=24))
 def test_csi_dominates_property(seed, n):
     # co-phasing never loses to zero phases on the same draw (1e-12 relative
