@@ -16,14 +16,16 @@ Each metric exists in up to three strengths:
 
 The Shannon average (upper bound) runs on the same ADR rule.  The ramp
 average is, by parts, mu times the integral of the CDF between the knees;
-it is the one adaptive quadrature left here, one integral per rho.  Every
-metric takes a float or a 1-D array in params.rho and returns a float or
-one value per rho: the closed-form ramp calls the CDF once, on the
-(rho, knee) grid, and the asymptotes are elementwise in rho.
+it is the one adaptive quadrature left here, one call per curve whose
+first panel evaluates the CDF on the (rho, node) grid.  Every metric takes
+a float or a 1-D array in params.rho and returns a float or one value per
+rho: the closed-form ramp calls the CDF once, on the (rho, knee) grid, and
+the asymptotes are elementwise in rho.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -113,17 +115,22 @@ def adep_linearized(params: SystemParams):
 
     The ramp falls from 1 to 0 between its knees lo (clamped at 0) and hi
     with slope -mu, so E[ramp(X)] = mu * int_lo^hi F(x) dx; the integral is
-    adaptive, to a relative tolerance of 1e-10, one integral per rho.
+    adaptive, to a relative tolerance of 1e-10, one call for the whole
+    curve: the CDF is evaluated once on the (rho, node) grid of the first
+    panel, and only a rho whose panel misses the tolerance is refined.
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
+    rho = params.rho if np.ndim(params.rho) == 0 else params.rho[:, None]
 
-    def ramp(p):
-        return lp.slope_mu * integrate_interval(
-            lambda x: snr_cdf_nocsi(x, p), lp.knee_lo, lp.knee_hi, _RAMP_SPEC)
+    @functools.cache
+    def at(row):
+        # the curve's params on its (rho, x) grid, or those of the one rho being refined
+        return replace(params, rho=params.rho[row] if row else rho)
 
-    if np.ndim(params.rho) == 0:
-        return _clamp_prob(ramp(params))
-    return _clamp_prob(np.array([ramp(replace(params, rho=r)) for r in params.rho.tolist()]))
+    def cdf(x, *row):
+        return snr_cdf_nocsi(x, at(row))
+
+    return _clamp_prob(lp.slope_mu * integrate_interval(cdf, lp.knee_lo, lp.knee_hi, _RAMP_SPEC))
 
 
 def adep_approx(params: SystemParams):

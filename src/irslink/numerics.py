@@ -20,7 +20,8 @@ through this module, so the contracts here are deliberately strict:
     (_per_rho maps the closed forms' float formulas over such a vector);
     the adaptive Gauss-Kronrod engine (integrate_interval,
     integrate_semi_infinite) remains for the no-CSI ramp integral of the
-    CDF and as the tight reference in tests.
+    CDF, which integrate_interval takes as one family of integrands per
+    curve (one row per rho), and as the tight reference in tests.
 
 All functions are pure and thread-safe; array inputs are supported where
 noted.  Angles, tolerances and counts are plain floats/ints.
@@ -388,10 +389,17 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (integral, error estimate)."""
+    return _gk15_sums(np.asarray(f(_gk15_nodes(a, b)), dtype=float), a, b)
+
+
+def _gk15_nodes(a: float, b: float) -> np.ndarray:
+    """The 15 Kronrod abscissae of the panel [a, b]."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _XGK
+
+
+def _gk15_sums(vals: np.ndarray, a: float, b: float) -> tuple[float, float]:
+    """(integral, error estimate) of the panel [a, b] from the 15 values at its nodes."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = mid + half * _XGK
-    vals = np.asarray(f(nodes), dtype=float)
     resk = half * float(np.dot(_WGK, vals))
     resg = half * float(np.dot(_WG, vals[_GAUSS_IDX]))
     # QUADPACK-style scaled error estimate
@@ -403,16 +411,14 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return resk, err
 
 
-def _adaptive(f, panels: list[tuple[float, float]], spec: QuadratureSpec) -> tuple[float, float]:
-    """Refine the given panels until the summed error meets the tolerance."""
+def _adaptive(f, panels: list[tuple[float, float, float, float]],
+              spec: QuadratureSpec) -> tuple[float, float]:
+    """Refine the panels (a, b, integral, error) until the summed error meets the tolerance."""
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0
     total = 0.0
     total_err = 0.0
-    for a, b in panels:
-        if a == b:
-            continue
-        val, err = _gk15(f, a, b)
+    for a, b, val, err in panels:
         heapq.heappush(heap, (-err, counter, a, b, val, err))
         counter += 1
         total += val
@@ -439,23 +445,38 @@ def _adaptive(f, panels: list[tuple[float, float]], spec: QuadratureSpec) -> tup
     return total, total_err
 
 
-def integrate_interval(f, lo: float, hi: float,
-                       spec: QuadratureSpec | None = None) -> float:
+def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
     """Adaptive integral of f over the finite interval [lo, hi].
 
-    f must accept an ndarray of abscissae and return an ndarray of values;
-    endpoints are never evaluated, so integrable endpoint singularities
-    are tolerated.
+    f must accept an ndarray of abscissae and return an ndarray of values,
+    or a (k, len(x)) array of them, one row per integrand of a family; then
+    f(x, i) must return row i alone, and the result is an array of the k
+    integrals.  The first Gauss-Kronrod panel on [lo, hi] is evaluated once
+    for every row; a row whose panel meets the tolerance takes it, and any
+    other row is refined alone from it, on f(x, i).  Each row is reduced
+    on its own, so its integral is bit for bit that of a 1-D call on its
+    integrand, which is the one-row case.  Endpoints are never evaluated,
+    so integrable endpoint singularities are tolerated.  For hi == lo the
+    result is 0.0, or k zeros for a family, whose k is read from f at an
+    empty array of abscissae.
     """
     spec = spec or DEFAULT_QUADRATURE
     if hi < lo:
         raise DomainError(f"integrate_interval requires hi >= lo, got [{lo}, {hi}]")
     if hi == lo:
-        return 0.0
-    total, err = _adaptive(f, [(float(lo), float(hi))], spec)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        raise ToleranceError("interval quadrature tolerance not met", total, err)
-    return total
+        zeros = np.zeros(np.shape(f(np.empty(0)))[:-1])
+        return float(zeros) if zeros.ndim == 0 else zeros
+    lo, hi = float(lo), float(hi)
+    vals = np.asarray(f(_gk15_nodes(lo, hi)), dtype=float)
+    rows = np.atleast_2d(vals)
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        row_f = f if vals.ndim == 1 else (lambda x, i=i: f(x, i))
+        total, err = _adaptive(row_f, [(lo, hi, *_gk15_sums(row, lo, hi))], spec)
+        if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+            raise ToleranceError("interval quadrature tolerance not met", total, err)
+        out[i] = total
+    return float(out[0]) if vals.ndim == 1 else out
 
 
 _SCAN_GRID = np.geomspace(1e-12, 1e15, 271)
@@ -513,7 +534,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec | None = None) -> float:
     decades = [10.0 ** e for e in range(-12, 16)]
     edges_x = [0.0] + [d for d in decades if d < upper] + [upper]
     edges_t = [to_t(x) for x in edges_x]
-    panels = [(edges_t[i], edges_t[i + 1]) for i in range(len(edges_t) - 1)]
+    panels = [(a, b, *_gk15(g, a, b)) for a, b in zip(edges_t, edges_t[1:]) if a != b]
 
     total, err = _adaptive(g, panels, spec)
     if err > max(spec.abs_tol, spec.rel_tol * abs(total)):

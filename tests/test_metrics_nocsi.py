@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irslink import fbl, metrics_nocsi as mn
+from irslink import fbl, metrics_nocsi as mn, numerics
 from irslink.channel import SystemParams, snr_cdf_nocsi
 from irslink.numerics import DomainError, q_inv
 
@@ -156,6 +156,28 @@ def test_adep_linearized_step_limit(monkeypatch):
     monkeypatch.setattr(fbl, "linearization_params", lambda m, d: lp)
     val = mn.adep_linearized(p)
     assert abs(val - snr_cdf_nocsi(x0, p)) <= 1e-4 * snr_cdf_nocsi(x0, p)
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 200, 100.0), (2, 200, 100.0), (20, 200, 100.0),
+                                     (169, 200, 100.0), (1, 2, 0.02)])
+def test_adep_linearized_curve_equals_scalar_calls(monkeypatch, n, m, d):
+    # one integral call per curve, bit for bit its scalar calls; at N = 1,
+    # M = 2, D = 0.02 every rho misses the tolerance on the shared first
+    # panel and is refined alone (numerics._gk15 runs only in refinement)
+    refined = set()
+    gk15 = numerics._gk15
+
+    def counting(f, a, b):
+        refined.add(f)
+        return gk15(f, a, b)
+
+    rho = 10.0 ** (np.arange(-40.0, 61.0, 5.0) / 10.0)
+    p = SystemParams(n_elements=n, blocklength=m, packet_bits=d, rho=rho)
+    scalar = [mn.adep_linearized(_at(p, rho=r)) for r in rho.tolist()]
+    monkeypatch.setattr(numerics, "_gk15", counting)
+    curve = mn.adep_linearized(p)
+    assert curve.tolist() == scalar
+    assert len(refined) == (rho.size if d == 0.02 else 0)
 
 
 def test_adep_linearized_in_unit_interval():

@@ -269,6 +269,65 @@ def test_integrate_interval_validation():
     assert nx.integrate_interval(lambda x: x, 2.0, 2.0) == 0.0
 
 
+def _family(funcs, calls):
+    """Integrand family of the 1-D funcs: f(x) stacks their rows, f(x, i) is row i.
+
+    Each call is logged in calls as (row or None, number of abscissae).
+    """
+    def f(x, *row):
+        calls.append((row[0] if row else None, x.size))
+        return funcs[row[0]](x) if row else np.array([g(x) for g in funcs])
+    return f
+
+
+# smooth (one panel), endpoint singularity and narrow peak (both refined)
+ROWS = (lambda x: np.exp(-x), np.sqrt, lambda x: 1.0 / (1.0 + 400.0 * (x - 0.3) ** 2))
+
+
+def test_integrate_interval_family_rows_equal_scalar_calls():
+    calls = []
+    vals = nx.integrate_interval(_family(ROWS, calls), 0.0, 1.0)
+    assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+    # bit for bit the 1-D calls, whatever path each row took
+    assert vals.tolist() == [nx.integrate_interval(g, 0.0, 1.0) for g in ROWS]
+    assert abs(vals[1] - 2.0 / 3.0) < 1e-9
+    # the first panel is one call for every row; only the rows that miss
+    # the tolerance there are refined, each alone on its own row
+    assert calls[0] == (None, 15)
+    assert all(n == 15 for _, n in calls)
+    refined = {row for row, _ in calls[1:]}
+    assert refined == {1, 2}
+    assert sum(row == 1 for row, _ in calls) > 2  # subdivided
+
+
+def test_integrate_interval_family_row_out_of_budget_raises():
+    spec = QuadratureSpec(max_subdivisions=3)
+    with pytest.raises(ToleranceError) as family:
+        nx.integrate_interval(_family(ROWS, []), 0.0, 1.0, spec)
+    # row 0 passes; the error is that of row 1, the first row out of budget
+    with pytest.raises(ToleranceError) as row:
+        nx.integrate_interval(ROWS[1], 0.0, 1.0, spec)
+    assert str(family.value) == str(row.value)
+    assert family.value.estimate == row.value.estimate
+
+
+def test_integrate_interval_one_dimensional_returns_float():
+    val = nx.integrate_interval(np.exp, 0.0, 1.0)
+    assert type(val) is float
+    assert abs(val - (math.e - 1.0)) < 1e-12
+
+
+def test_integrate_interval_empty_interval():
+    # 0.0 for a 1-D integrand; k zeros for a family, whose k is read from
+    # one call on an empty array of abscissae (no abscissa is evaluated)
+    one = nx.integrate_interval(lambda x: -np.log(x), 0.0, 0.0)
+    assert type(one) is float and one == 0.0
+    calls = []
+    zeros = nx.integrate_interval(_family(ROWS, calls), 0.5, 0.5)
+    assert isinstance(zeros, np.ndarray) and zeros.tolist() == [0.0, 0.0, 0.0]
+    assert calls == [(None, 0)]
+
+
 def test_integrate_non_decaying_tail_rejected():
     with pytest.raises(ToleranceError):
         nx.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x))
