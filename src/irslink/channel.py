@@ -15,11 +15,11 @@ Two operating modes are covered:
 The no-CSI law is one Bessel-K form, F_N(q) = 1 - (2/Gamma(N)) q^(N/2)
 K_N(2 sqrt q) at q = bx, evaluated by numerics._k_law: the small-argument
 series of K_N where 1 - (...) would cancel, so the CDF keeps its relative
-digits down to 1e-300, and scipy's scaled kve in log space above.  By A&S
-9.6.28 the density is the survival of the same law one order down,
-b/(N-1) (1 - F_{N-1}(q)), and 2b K_0(2 sqrt q) for N = 1.  Both are
-refused for N > 169 (kve overflows inside every SNR curve there), so no
-large-N no-CSI value comes back silently wrong.
+digits down to 1e-300, and above it the scaled K_N from the upward
+integer-order recurrence, in log space.  By A&S 9.6.28 the density is the
+survival of the same law one order down, b/(N-1) (1 - F_{N-1}(q)), and
+2b K_0(2 sqrt q) for N = 1.  Both are refused for N > 169 (see
+NOCSI_MAX_N), so no large-N no-CSI value comes back silently wrong.
 
 In both modes the SNR is rho alpha beta times a unit-scale variable Y whose
 law is the mode's law at rho = alpha = beta = 1.  log_snr_rule tabulates
@@ -61,8 +61,12 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Largest N whose no-CSI law (CDF and density) is computed: kve(N, z)
-# overflows for some z >= 2 from N = 170 on, inside every SNR curve.
+# Largest N whose no-CSI law (CDF and density) is computed.  The K-law's
+# tail applies 2/Gamma(N) outside the exp of its log-space assembly, and
+# just above q = N/4 that exponent, about ln(Gamma(N)/2), overflows from
+# N = 172 on; from N = 179, exp(-lgamma(N)) is 0 (0 * inf), and from
+# N = 186 the series' q^N overflows.  N = 170 and 171 are still finite, but
+# are refused with the rest.
 NOCSI_MAX_N = 169
 
 
@@ -128,7 +132,9 @@ def _nocsi_q(x, params: SystemParams):
     if np.any(x_arr < 0.0):
         raise ValueError("the no-CSI SNR law requires x >= 0")
     b = 1.0 / (params.rho * params.alpha * params.beta)
-    return b, b * x_arr
+    # the error rule's top nodes reach past 1e300: q = +inf is a valid argument (F = 1)
+    with np.errstate(over="ignore"):
+        return b, b * x_arr
 
 
 def snr_pdf_nocsi(x, params: SystemParams):
@@ -201,7 +207,10 @@ def snr_cdf_csi(x, params: SystemParams):
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_csi requires x >= 0")
     a, theta = _gamma_law(params)
-    val = reg_gamma_lower(a, np.sqrt(x_arr / params.rho) / theta)
+    # as in _nocsi_q, x / rho = +inf is a valid argument (F = 1)
+    with np.errstate(over="ignore"):
+        arg = np.sqrt(x_arr / params.rho) / theta
+    val = reg_gamma_lower(a, arg)
     return float(val) if np.ndim(val) == 0 else val
 
 

@@ -11,9 +11,11 @@ through this module, so the contracts here are deliberately strict:
   - the modified Bessel K enters only through the no-CSI K-law
     F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q) and its survival
     (_k_law): the small-argument series of K_n where 1 - (...) cancels,
-    scipy's scaled kve in log space above, so the pairwise overflow of
-    q^(n/2) and K_n never shows.  The no-CSI CDF is F_N, and by A&S
-    9.6.28 its density is b/(N-1) times the survival one order down;
+    above it e^z K_n(z) by the upward integer-order recurrence from
+    scipy's k0e and k1e (_bessel_k_scaled), assembled in log space so the
+    pairwise overflow of q^(n/2) and K_n never shows.  The no-CSI CDF is
+    F_N, and by A&S 9.6.28 its density is b/(N-1) times the survival one
+    order down;
   - the metric integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration, and
     _dot_per_rho reduces a whole vector of rho on them in row blocks
@@ -55,6 +57,7 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_DOUBLE_MAX = float(np.finfo(float).max)
 
 
 class DomainError(ValueError):
@@ -219,26 +222,46 @@ def _series_top(y: float) -> int:
     return min(_SERIES_TERMS, int(y) + 2)
 
 
+def _bessel_k_scaled(n: int, z: np.ndarray) -> np.ndarray:
+    """e^z K_n(z) for integer n >= 1 and a 1-D array of z > 0.
+
+    Upward recurrence K_{m+1} = K_{m-1} + (2m/z) K_m (A&S 9.6.26), which
+    is stable for K, from scipy's scaled k0e and k1e (k1e alone for n = 1);
+    the scaled values obey the same recurrence.
+    """
+    k = sc.k1e(z)
+    if n == 1:
+        return k
+    k_prev = sc.k0e(z)
+    step = np.empty_like(z)
+    # positional out arguments: on short arrays the call overhead is the cost
+    for m in range(1, n):
+        np.divide(k, z, step)
+        np.multiply(step, 2.0 * m, step)
+        np.add(k_prev, step, k_prev)
+        k_prev, k = k, k_prev
+    return k
+
+
 def _k_law(n: int, q: np.ndarray, survival: bool = False) -> np.ndarray:
     """F_n(q) = 1 - (2/Gamma(n)) q^(n/2) K_n(2 sqrt q), or 1 - F_n(q) with survival.
 
-    For 1 <= n <= 169 and q >= 0, an array of any shape; the caller checks
-    n, above which scipy's kve(n, z) overflows for some z >= 2.  Up to
-    q = n/4, where F_n < ~0.4, the value comes from the small-argument
-    series (_bessel_k_cdf_series); above it the tail (2/Gamma(n)) (z/2)^n
-    K_n(z), z = 2 sqrt q, is assembled in log space from scipy's scaled
-    kve, is the survival itself, and underflows to 0 past kve's argument
-    range (z > ~1.07e9, where kve returns nan).
+    For 1 <= n <= 169 and q >= 0 (+inf included), an array of any shape;
+    the caller checks n.  Up to q = n/4, where F_n < ~0.4, the value comes
+    from the small-argument series (_bessel_k_cdf_series); above it the
+    tail (2/Gamma(n)) (z/2)^n K_n(z), z = 2 sqrt q > sqrt n, is assembled in
+    log space from the scaled K_n of _bessel_k_scaled, is the survival
+    itself, and underflows to 0 far below q = 1e308; q = +inf is taken as
+    the largest double, so its tail is that 0 and no inf - inf arises.
     """
     small = q <= 0.25 * n
     if small.all():
         cdf = _bessel_k_cdf_series(n, q.ravel()).reshape(q.shape)
         return 1.0 - cdf if survival else cdf
     out = np.empty_like(q)
-    z = 2.0 * np.sqrt(q[~small])
-    kve = sc.kve(n, z)
-    tail = 2.0 * math.exp(-math.lgamma(n)) * np.exp(n * np.log(0.5 * z) + np.log(kve) - z)
-    tail[np.isnan(kve)] = 0.0
+    z = 2.0 * np.sqrt(np.minimum(q[~small], _DOUBLE_MAX))
+    tail = 2.0 * math.exp(-math.lgamma(n)) * np.exp(
+        n * np.log(0.5 * z) + np.log(_bessel_k_scaled(n, z)) - z)
     out[~small] = tail if survival else 1.0 - tail
     if small.any():
         cdf = _bessel_k_cdf_series(n, q[small])

@@ -79,7 +79,7 @@ def test_bessel_k_weighted_matches_direct():
 
 
 def test_bessel_k_weighted_series_branch_continuity():
-    # the series (q <= n/4) and the kve form (q > n/4) agree at the switch, in
+    # the series (q <= n/4) and the tail (q > n/4) agree at the switch, in
     # the survival the density reads as much as in the CDF
     for n in (1, 2, 40, 168, 169):
         q = 0.25 * n
@@ -106,7 +106,7 @@ def test_bessel_k_cdf_series_is_elementwise(n):
 
 
 def test_bessel_k_weighted_overflow_raises():
-    # past N = 169 kve(N, z) overflows inside every SNR curve: the CDF and the
+    # past N = 169 (NOCSI_MAX_N) the K-law is not computed: the CDF and the
     # density refuse before any work, with a note that names both N, and
     # nothing warns
     with warnings.catch_warnings():
@@ -121,14 +121,37 @@ def test_bessel_k_weighted_overflow_raises():
 
 
 def test_bessel_k_weighted_beyond_argument_range():
-    # past z ~ 1e9 scipy's kve gives nan; the true tail underflows to 0, so the
-    # density is 0 and the CDF 1
+    # far out (z ~ 2e9) the tail underflows to 0, so the density is 0 and
+    # the CDF 1
     assert _survival(20, 1e18) == 0.0
     assert float(nx._k_law(20, np.array([1e18]))[0]) == 1.0
     for n in (1, 2, 20):
         p = SystemParams(n_elements=n)
         assert snr_pdf_nocsi(np.array([1e3, 5e18]), p)[1] == 0.0
         assert snr_cdf_nocsi(5e18, p) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 64, 169])
+def test_bessel_k_scaled_matches_mpmath(n):
+    # the upward recurrence over the whole range the tail sees, z = 2 sqrt q
+    # from sqrt(n) (q = n/4) to 1e9, against e^z K_n(z) at 40 digits
+    mp = pytest.importorskip("mpmath")
+    z = np.geomspace(math.sqrt(n), 1e9, 60)
+    got = nx._bessel_k_scaled(n, z)
+    with mp.workdps(40):
+        for zi, gi in zip(z, got):
+            exact = mp.besselk(n, zi) * mp.exp(zi)
+            assert abs(gi / exact - 1) <= 3e-14, (n, zi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 169])
+def test_k_law_at_infinity(n):
+    # q = +inf is a valid argument: CDF 1, survival 0, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = np.array([np.inf])
+        assert nx._k_law(n, q)[0] == 1.0
+        assert nx._k_law(n, q, survival=True)[0] == 0.0
 
 
 def test_bessel_k_weighted_zero_limit():

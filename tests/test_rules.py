@@ -100,7 +100,7 @@ def test_nocsi_law_fails_past_its_range():
 
 def test_nocsi_density_past_gamma_overflow():
     # the density shares the CDF's range check, before 2b/Gamma(N) underflows
-    # (N >= 172) and where the order N-1 kve still fits (N = 170)
+    # (N >= 172) and where the order N-1 law is still finite (N = 170)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (NOCSI_MAX_N + 1, 172, 256):
@@ -213,6 +213,19 @@ def test_adep_rule_tiny_and_large_payloads(mode):
             p = SystemParams(n_elements=n, rho=10.0, blocklength=m, packet_bits=d)
             ref = _reference(mode, p, lambda x: fbl.decode_error_prob(x, m, d))
             assert abs(ADEP[mode](p) - ref) <= 1e-8 * ref, (m, d, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 169])
+def test_adep_rule_overflowing_nodes_do_not_warn(n):
+    # at M = 2, D = 2000 the error rule's top nodes reach 1e301..+inf, so the
+    # no-CSI q = x/rho and the CSI x/rho overflow to +inf at low SNR: a valid
+    # argument (F = 1), and the ADEP, 1, comes back without a warning
+    rho = 10.0 ** (np.arange(-40.0, 61.0, 20.0) / 10.0)
+    p = SystemParams(n_elements=n, rho=rho, blocklength=2, packet_bits=2000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("nocsi", "csi"):
+            assert np.array_equal(ADEP[mode](p), np.ones(rho.size)), mode
 
 
 def test_adep_rule_steep_csi_law():
