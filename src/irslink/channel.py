@@ -10,7 +10,7 @@ Two operating modes are covered:
   - no CSI: all phases zero, the cascade gain is |sum conj(g_n) h_n|^2
     and the SNR density is an exact Bessel-K form;
   - CSI: per-element co-phasing gives snr = rho * (sum |g_n||h_n|)^2,
-    handled through a Gamma moment match of the per-element product.
+    handled through a unit-variance Gamma moment match of |g_n||h_n|.
 
 The no-CSI law is one Bessel-K form, F_N(q) = 1 - (2/Gamma(N)) q^(N/2)
 K_N(2 sqrt q) at q = bx, evaluated by numerics._k_law: the small-argument
@@ -21,10 +21,10 @@ survival of the same law one order down, b/(N-1) (1 - F_{N-1}(q)), and
 2b K_0(2 sqrt q) for N = 1.  Both are refused for N > 169 (see
 NOCSI_MAX_N), so no large-N no-CSI value comes back silently wrong.
 
-In both modes the SNR is rho alpha beta times a unit-scale variable Y whose
-law is the mode's law at rho = alpha = beta = 1.  log_snr_rule tabulates
-that law once per (mode, N) as a fixed quadrature rule in log y, so an
-average over the SNR costs one vectorized evaluation per rho.
+In both modes the SNR is s Y, s = rho alpha beta = SystemParams.snr_scale,
+with Y the unit-scale variable of the mode's law at rho = alpha = beta = 1.
+log_snr_rule tabulates that law once per (mode, N) as a fixed quadrature
+rule in log y, and log_snr_mean gives its level E[ln Y].
 
 Per-trial channel draws live in montecarlo, whose kernel evaluates the same
 two SNR expressions.
@@ -41,8 +41,10 @@ import scipy.special as sc
 
 from .numerics import (
     _TAIL_CUTOFF,
+    EULER_GAMMA,
     _dot_per_rho,
     _k_law,
+    digamma,
     gauss_legendre_panels,
     reg_gamma_lower,
 )
@@ -57,6 +59,7 @@ __all__ = [
     "snr_pdf_csi",
     "log_snr_rule",
     "snr_average",
+    "log_snr_mean",
 ]
 
 _LN2 = math.log(2.0)
@@ -106,6 +109,11 @@ class SystemParams:
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must be in (0, 1), got {self.target_eps}")
 
+    @property
+    def snr_scale(self):
+        """rho alpha beta, a float or one value per rho: the SNR is this times a unit-scale Y."""
+        return self.rho * self.alpha * self.beta
+
 
 @dataclass(frozen=True)
 class GammaMatch:
@@ -124,14 +132,14 @@ class GammaMatch:
 # ---------------------------------------------------------------------------
 
 def _nocsi_q(x, params: SystemParams):
-    """b = 1/(rho alpha beta) and q = b x; raises for N > NOCSI_MAX_N before any work."""
+    """b = 1/snr_scale and q = b x; raises for N > NOCSI_MAX_N before any work."""
     n = params.n_elements
     if n > NOCSI_MAX_N:
         raise OverflowError(f"no-CSI SNR law needs N <= {NOCSI_MAX_N}, got N = {n}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("the no-CSI SNR law requires x >= 0")
-    b = 1.0 / (params.rho * params.alpha * params.beta)
+    b = 1.0 / params.snr_scale
     # the error rule's top nodes reach past 1e300: q = +inf is a valid argument (F = 1)
     with np.errstate(over="ignore"):
         return b, b * x_arr
@@ -187,29 +195,26 @@ def gamma_match(alpha: float, beta: float) -> GammaMatch:
     return GammaMatch(shape=shape, scale=scale)
 
 
-def _gamma_law(params: SystemParams, match: GammaMatch | None = None):
-    """Shape a = N k and scale theta of the Gamma model of sum |g_n||h_n|.
-
-    match defaults to gamma_match(alpha, beta) of params.
-    """
-    match = match or gamma_match(params.alpha, params.beta)
+def _gamma_law(params: SystemParams):
+    """Shape a = N k and scale theta0 of the Gamma model of sum |g_n||h_n| at unit variances."""
+    match = gamma_match(1.0, 1.0)
     return params.n_elements * match.shape, match.scale
 
 
 def snr_cdf_csi(x, params: SystemParams):
     """CDF of the co-phased SNR under the Gamma model for sum |g_n||h_n|.
 
-    The sum of N matched Gamma variables is Gamma(N k, theta) and
-    gamma = rho * (sum)^2, so F(x) = P(N k, (1/theta) sqrt(x/rho)).  An
-    array params.rho broadcasts against x.
+    The unit-variance sum is Gamma(N k, theta0) and the SNR is snr_scale s
+    times its square, so F(x) = P(N k, sqrt(x/s)/theta0).  An array
+    params.rho broadcasts against x.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_csi requires x >= 0")
-    a, theta = _gamma_law(params)
-    # as in _nocsi_q, x / rho = +inf is a valid argument (F = 1)
+    a, theta0 = _gamma_law(params)
+    # as in _nocsi_q, x / s = +inf is a valid argument (F = 1)
     with np.errstate(over="ignore"):
-        arg = np.sqrt(x_arr / params.rho) / theta
+        arg = np.sqrt(x_arr / params.snr_scale) / theta0
     val = reg_gamma_lower(a, arg)
     return float(val) if np.ndim(val) == 0 else val
 
@@ -220,14 +225,14 @@ def snr_pdf_csi(x, params: SystemParams):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("snr_pdf_csi requires x >= 0")
-    a, theta = _gamma_law(params)
-    rho = params.rho
-    log_pref = -(_LN2 + math.lgamma(a) + a * math.log(theta) + 0.5 * a * math.log(rho))
+    a, theta0 = _gamma_law(params)
+    s = params.snr_scale
+    log_pref = -(_LN2 + math.lgamma(a) + a * math.log(theta0) + 0.5 * a * math.log(s))
     out = np.zeros_like(x_arr)
     pos = x_arr > 0.0
     xp = x_arr[pos]
     out[pos] = np.exp(log_pref + (0.5 * a - 1.0) * np.log(xp)
-                      - np.sqrt(xp / rho) / theta)
+                      - np.sqrt(xp / s) / theta0)
     if np.any(~pos):
         out[~pos] = 0.0 if a > 2.0 else (np.inf if a < 2.0 else math.exp(log_pref))
     return float(out[0]) if scalar else out
@@ -246,9 +251,7 @@ def log_snr_rule(mode: str, n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y_j and weights w_j with E[g(Y)] ~= sum_j w_j g(y_j).
 
     Y is the unit-scale SNR of the mode ('nocsi' or 'csi') with N elements:
-    the mode's SNR law at rho = alpha = beta = 1.  In either mode the SNR is
-    rho alpha beta Y, since the no-CSI b and the CSI Gamma scale theta^2
-    both carry alpha beta.
+    the mode's SNR law at rho = alpha = beta = 1; the SNR is snr_scale Y.
     The rule is Gauss-Legendre in v = ln y against the density of ln Y,
     y f(y), normalized to total weight 1: panels of 16 nodes span the range
     where that density exceeds 1e-16 of its peak (found on a 0.25-step scan
@@ -293,9 +296,23 @@ def snr_average(g, params: SystemParams, mode: str):
 
     params.rho is a float or a 1-D array; the result is a float or one
     value per rho.  g must be elementwise: it is called on the (rho, node)
-    grid of SNR values rho alpha beta y_j, one row block at a time, and
+    grid of SNR values s y_j, s = snr_scale, one row block at a time, and
     each row is reduced by its own dot product with the weights (see
     numerics._dot_per_rho), so a value does not depend on the other rho.
     """
     y, w = log_snr_rule(mode, params.n_elements)
-    return _dot_per_rho(w, lambda rho: g(rho * params.alpha * params.beta * y), params.rho)
+    return _dot_per_rho(w, lambda s: g(s * y), params.snr_scale)
+
+
+def log_snr_mean(params: SystemParams, mode: str) -> float:
+    """E[ln Y] of the mode's unit-scale SNR Y, the level of its high-SNR rate.
+
+    psi(N) - g0 without CSI (Y = G E, G ~ Gamma(N, 1), E ~ Exp(1)), and
+    2 (psi(N k) + ln theta0) for the square of the Gamma model.
+    """
+    if mode == "nocsi":
+        return float(digamma(params.n_elements)) - EULER_GAMMA
+    if mode == "csi":
+        a, theta0 = _gamma_law(params)
+        return 2.0 * (float(digamma(a)) + math.log(theta0))
+    raise ValueError(f"mode must be 'nocsi' or 'csi', got {mode!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import _dot_per_rho, gauss_legendre_panels, q_func, q_inv
+from .numerics import _dot_per_rho, _per_rho, gauss_legendre_panels, q_func, q_inv
 
 __all__ = [
     "LinearizationParams",
@@ -100,6 +100,12 @@ def _q_inv_once(eps: float) -> float:
 def _rate_penalty(blocklength: int, eps: float) -> float:
     """Qinv(eps) / (sqrt(M) ln2): the rate penalty at unit dispersion."""
     return _q_inv_once(float(eps)) / (math.sqrt(blocklength) * _LN2)
+
+
+def _rate_asymptote(log_mean: float, params):
+    """High-SNR rate per rho, (log_mean + ln snr_scale)/ln2 - penalty, log_mean = E[ln Y]."""
+    penalty = _rate_penalty(params.blocklength, params.target_eps)
+    return _per_rho(lambda s: (log_mean + math.log(s)) / _LN2 - penalty, params.snr_scale)
 
 
 def achievable_rate(gamma, blocklength: int, eps: float):

@@ -1,15 +1,17 @@
 """Average rate and error metrics for the co-phased (CSI) link.
 
 All CSI-side statistics run through the Gamma moment match of the element
-product |g||h|: the co-phased SNR is modeled as rho * XI^2 with
-XI ~ Gamma(N k, theta).  The "numerical" rate and error average the exact
+product |g||h| at unit variances: the co-phased SNR is s XI^2 with
+s = rho alpha beta (SystemParams.snr_scale) and XI ~ Gamma(N k, theta0).
+The log-rate approximation and the rate gap read its level E[ln XI^2]
+(channel.log_snr_mean).  The "numerical" rate and error average the exact
 rate or error curve over that law on the fixed rules shared with the
 no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
-ADEP).  The closed forms below combine incomplete gammas, digammas and
-the error tail's two 1F1 values (scipy's hyp1f1); everything is assembled
-in log magnitude where factors would otherwise overflow.  Every metric
-takes a float or a 1-D array in params.rho and returns a float or one
-value per rho, each value depending on its own rho alone.
+ADEP).  The closed forms below combine incomplete gammas and the error
+tail's two 1F1 values (scipy's hyp1f1), assembled in log magnitude where
+factors would otherwise overflow.  Every metric takes a float or a 1-D
+array in params.rho and returns a float or one value per rho, each value
+depending on its own rho alone.
 
 The paper's rate closed form (three pFq series and a digamma term) is an
 identity, not an approximation: it equals the Gamma-model Shannon average
@@ -33,16 +35,12 @@ from .channel import (
     SystemParams,
     _gamma_law,
     gamma_match,
+    log_snr_mean,
     snr_average,
     snr_cdf_csi,
 )
-from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_penalty
-from .numerics import (
-    EULER_GAMMA,
-    _per_rho,
-    digamma,
-    reg_gamma_lower,
-)
+from .fbl import _LN2, _clamp_prob, _ramp_average, _rate_asymptote, _rate_penalty
+from .numerics import _per_rho, reg_gamma_lower
 
 __all__ = [
     "adr_numerical_gamma",
@@ -104,35 +102,27 @@ def adr_closed_form(params: SystemParams):
 
 
 def adr_simplified(params: SystemParams):
-    """Log-approximated average rate per rho, 2(psi(a) - ln(1/(theta sqrt(rho))))/ln2 - penalty."""
-    a, theta = _gamma_law(params)
-    psi_a = float(digamma(a))
-    penalty = _rate_penalty(params.blocklength, params.target_eps)
-    return _per_rho(lambda r: 2.0 * (psi_a - math.log(1.0 / (theta * math.sqrt(r)))) / _LN2
-                    - penalty, params.rho)
+    """Log-approximated average rate per rho, (2 (psi(a) + ln theta0) + ln s)/ln2 - penalty."""
+    return _rate_asymptote(log_snr_mean(params, "csi"), params)
 
 
 def rate_gap(params: SystemParams) -> float:
-    """Asymptotic CSI-over-no-CSI rate gain at equal element count.
+    """Asymptotic CSI-over-no-CSI rate gain at equal element count: the two levels' difference.
 
-    (2 psi(k N) - psi(N) + g0 + 2 ln theta0) / ln2 with theta0 the unit
-    variance Gamma scale; the channel variances cancel.  Non-integer
-    harmonic limits are read through the digamma identity
-    sum_{j=1}^{x-1} 1/j -> psi(x) + g0.
+    (2 psi(k N) + 2 ln theta0 - psi(N) + g0) / ln2, free of rho alpha beta; non-integer
+    harmonic limits are read through the digamma identity sum_{j=1}^{x-1} 1/j -> psi(x) + g0.
     """
-    a, theta0 = _gamma_law(params, gamma_match(1.0, 1.0))
-    return (2.0 * digamma(a) - digamma(params.n_elements) + EULER_GAMMA
-            + 2.0 * math.log(theta0)) / _LN2
+    return (log_snr_mean(params, "csi") - log_snr_mean(params, "nocsi")) / _LN2
 
 
 # ---------------------------------------------------------------------------
 # average decoding error probability
 # ---------------------------------------------------------------------------
 
-def _ramp_delta_p(lp: fbl.LinearizationParams, rho, a: float, theta: float):
-    """P(a+2, u(hi)) - P(a+2, u(lo)) with u(x) = sqrt(x/rho)/theta at the ramp knees, per rho."""
-    return (reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_hi / rho) / theta)
-            - reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_lo / rho) / theta))
+def _ramp_delta_p(lp: fbl.LinearizationParams, s, a: float, theta: float):
+    """P(a+2, u(hi)) - P(a+2, u(lo)) with u(x) = sqrt(x/s)/theta at the ramp knees, per s."""
+    return (reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_hi / s) / theta)
+            - reg_gamma_lower(a + 2.0, np.sqrt(lp.knee_lo / s) / theta))
 
 
 def adep_numerical(params: SystemParams):
@@ -146,34 +136,37 @@ def adep_linearized(params: SystemParams):
     This is mu int_lo^hi F(x) dx, the by-parts ramp average that the no-CSI
     adep_linearized integrates numerically, written with the CDF at the
     knees and a moment term.  The moment integral int x^(a/2) e^(-u(x)) dx
-    has the antiderivative -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u(x)),
-    u(x) = sqrt(x/rho)/theta; dividing by the density normalization
+    has the antiderivative -2 s^(a/2+1) theta0^(a+2) UpperGamma(a+2, u(x)),
+    u(x) = sqrt(x/s)/theta0; dividing by the density normalization
     collapses the moment term to
 
-      mu rho theta^2 a (a+1) [P(a+2, u(hi)) - P(a+2, u(lo))]
+      mu s theta0^2 a (a+1) [P(a+2, u(hi)) - P(a+2, u(lo))]
 
     which is evaluated through regularized lower gammas to dodge the
     cancellation of near-equal upper gammas at high SNR.  The CDF is called
     once, on the (rho, knee) grid.
     """
     lp = fbl.linearization_params(params.blocklength, params.packet_bits)
-    a, theta = _gamma_law(params)
-    delta_p = _ramp_delta_p(lp, params.rho, a, theta)
-    moment_term = lp.slope_mu * params.rho * theta * theta * a * (a + 1.0) * delta_p
+    a, theta0 = _gamma_law(params)
+    s = params.snr_scale
+    delta_p = _ramp_delta_p(lp, s, a, theta0)
+    moment_term = lp.slope_mu * s * theta0 * theta0 * a * (a + 1.0) * delta_p
     return _ramp_average(snr_cdf_csi, params, lp, moment_term)
 
 
 def ramp_moment_closed_form(params: SystemParams, match: GammaMatch | None = None,
                             lp: fbl.LinearizationParams | None = None) -> float:
-    """Closed form of the ramp moment int_lo^hi x^(a/2) e^(-u(x)) dx.
+    """Closed form of the ramp moment int_lo^hi x^(a/2) e^(-u(x)) dx, as the paper prints it.
 
+    u(x) = sqrt(x/rho)/theta, match defaulting to gamma_match(alpha, beta).
     The upper incomplete gammas of the antiderivative pair
     -2 rho^(a/2+1) theta^(a+2) UpperGamma(a+2, u) are folded into a
     regularized lower difference: exactly equivalent, and it keeps its
     digits where P(a+2, u) is tiny and the upper gammas nearly cancel.
     """
     lp = lp or fbl.linearization_params(params.blocklength, params.packet_bits)
-    a, theta = _gamma_law(params, match)
+    match = match or gamma_match(params.alpha, params.beta)
+    a, theta = params.n_elements * match.shape, match.scale
     rho = params.rho
     delta_p = _ramp_delta_p(lp, rho, a, theta)
     if delta_p <= 0.0:
@@ -192,22 +185,22 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     """High-SNR error under the Gamma model, per rho.
 
     form='two_term' (default): both confluent hypergeometric terms of the
-    tail expansion, scaling as (alpha beta rho)^(-a/2) with a = N k.
+    tail expansion, scaling as s^(-a/2) with s = alpha beta rho and a = N k.
 
     form='single_term': the reported collapsed constant form
 
       1F1((2-a)/4; 1/2; -M r^2/2) 2^(1.28564 a - 2) M^(-a/4)
-        Gamma(a/4)/Gamma(a) (alpha beta rho)^(1/2 - a),
+        Gamma(a/4)/Gamma(a) s^(1/2 - a),
 
     kept verbatim including its empirical constant; its SNR exponent is
     exactly 1/2 - a.
 
-    The rho-free 1F1 values come from scipy; one beyond the double range
-    (large a and |z|) raises OverflowError naming a and z.
+    All but ln s is computed once per call, the 1F1 values by scipy; one
+    beyond the double range (large a and |z|) raises OverflowError naming a and z.
     """
     if form not in ("two_term", "single_term"):
         raise ValueError(f"form must be 'two_term' or 'single_term', got {form!r}")
-    a, theta = _gamma_law(params)
+    a, theta0 = _gamma_law(params)
     m = params.blocklength
     rs = fbl.packet_rate(m, params.packet_bits, rs_convention)
     z = -0.5 * m * rs * rs
@@ -216,20 +209,16 @@ def adep_asymptotic(params: SystemParams, form: str = "two_term",
     if not math.isfinite(f_a + f_b):
         raise OverflowError(f"adep_asymptotic needs finite 1F1 tail values, got "
                             f"{f_a:g} and {f_b:g} at a = N k = {a:g}, z = -M r^2/2 = {z:g}")
-    alpha, beta = params.alpha, params.beta
+    # each term is c f s^power e^log_c
     if form == "single_term":
-        return _per_rho(lambda r: _times_exp(f_a, (
-            (1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
-            + math.lgamma(0.25 * a) - math.lgamma(a)
-            + (0.5 - a) * math.log(r * alpha * beta))), params.rho)
-
-    def two_term(r):
+        power = 0.5 - a
+        terms = [(1.0, f_a, (1.28564 * a - 2.0) * _LN2 - 0.25 * a * math.log(m)
+                  + math.lgamma(0.25 * a) - math.lgamma(a))]
+    else:
         log_pref = ((0.25 * a - 3.5) * _LN2 - 0.25 * a * math.log(m)
-                    - 0.5 * a * math.log(r) - a * math.log(theta) - math.lgamma(a))
-        term_a = math.sqrt(2.0) * _times_exp(f_a, log_pref + math.lgamma(0.25 * a))
-        term_b = (2.0 * math.sqrt(m) * rs
-                  * _times_exp(f_b, log_pref + math.lgamma(0.25 * (a + 2.0))))
-        return term_a + term_b
-
-    return _per_rho(two_term, params.rho)
-
+                    - a * math.log(theta0) - math.lgamma(a))
+        power = -0.5 * a
+        terms = [(math.sqrt(2.0), f_a, log_pref + math.lgamma(0.25 * a)),
+                 (2.0 * math.sqrt(m) * rs, f_b, log_pref + math.lgamma(0.25 * (a + 2.0)))]
+    return _per_rho(lambda s: sum(c * _times_exp(f, log_c + power * math.log(s))
+                                  for c, f, log_c in terms), params.snr_scale)

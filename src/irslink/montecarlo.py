@@ -149,7 +149,7 @@ def _snr_block(params: SystemParams, mode: str, seed: int,
         re = 2.0 * np.sum(r, axis=1) - np.sum(amp, axis=1)
         im = 2.0 * np.sum(np.multiply(r, t, out=t), axis=1)
         np.add(re * re, im * im, out=out[lo:lo + k])
-    out *= params.rho * params.alpha * params.beta
+    out *= params.snr_scale
     return out
 
 

@@ -255,14 +255,12 @@ def _k_law(n: int, q: np.ndarray, survival: bool = False) -> np.ndarray:
     the largest double, so its tail is that 0 and no inf - inf arises.
     """
     small = q <= 0.25 * n
-    if small.all():
-        cdf = _bessel_k_cdf_series(n, q.ravel()).reshape(q.shape)
-        return 1.0 - cdf if survival else cdf
     out = np.empty_like(q)
-    z = 2.0 * np.sqrt(np.minimum(q[~small], _DOUBLE_MAX))
-    tail = 2.0 * math.exp(-math.lgamma(n)) * np.exp(
-        n * np.log(0.5 * z) + np.log(_bessel_k_scaled(n, z)) - z)
-    out[~small] = tail if survival else 1.0 - tail
+    if not small.all():
+        z = 2.0 * np.sqrt(np.minimum(q[~small], _DOUBLE_MAX))
+        tail = 2.0 * math.exp(-math.lgamma(n)) * np.exp(
+            n * np.log(0.5 * z) + np.log(_bessel_k_scaled(n, z)) - z)
+        out[~small] = tail if survival else 1.0 - tail
     if small.any():
         cdf = _bessel_k_cdf_series(n, q[small])
         out[small] = 1.0 - cdf if survival else cdf
