@@ -47,76 +47,68 @@ def _point(call, *args) -> tuple:
     return value, stderr, ""
 
 
-def _sampled(estimator):
-    """Curve evaluator of a Monte-Carlo estimator(params, mc) -> McEstimate, point by point."""
-    def evaluate(spec, n, rhos):
-        return [_point(estimator, spec._params(n, rho), spec.mc) for rho in rhos]
-    return evaluate
-
-
-def _batched(metric):
-    """Curve evaluator of a deterministic metric(params, rs_convention): one call per curve.
-
-    The call gets the whole rho vector and returns one value per rho.  If
-    it fails, every point of the curve carries its note.
-    """
-    def evaluate(spec, n, rhos):
-        values, _, note = _point(
-            lambda: (metric(spec._params(n, np.array(rhos)), spec.rs_convention), None))
-        if note:
-            return [(None, None, note)] * len(rhos)
-        return [(float(v), None, "") for v in values]
-    return evaluate
-
-
-# Evaluators shared by a method and its alias.  Every evaluator looks its
-# library function up through the module when called, so code that swaps a
-# module attribute (tests, tracing) reaches the sweep.
-_adr_nocsi_lower = _batched(lambda p, rs: metrics_nocsi.adr_lower_bound(p))
-_adr_nocsi_upper = _batched(lambda p, rs: metrics_nocsi.adr_upper_bound(p))
-_adr_csi_closed = _batched(lambda p, rs: metrics_csi.adr_closed_form(p))
-
-# (metric, mode) -> {method: evaluator(spec, n, rhos) -> [(value|None, stderr|None,
-# note)] per rho}.  Every deterministic method is _batched, one call per
-# curve; Monte-Carlo is _sampled, one estimate per point.
-_EVALUATORS = {
+# (metric, mode) -> {method: name of its library function}.  A name listed
+# twice is an alias.  Monte-Carlo names a montecarlo function; every other
+# method a function of metrics_<mode>.
+_METHODS = {
     ("adr", "nocsi"): {
-        "numerical": _batched(lambda p, rs: metrics_nocsi.adr_numerical(p)),
-        "lower_bound": _adr_nocsi_lower,
-        "upper_bound": _adr_nocsi_upper,
-        "approx": _adr_nocsi_lower,
-        "asymptotic": _batched(lambda p, rs: metrics_nocsi.adr_asymptotic(p)),
-        "shannon": _adr_nocsi_upper,
-        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "nocsi", mc)),
+        "numerical": "adr_numerical",
+        "lower_bound": "adr_lower_bound",
+        "upper_bound": "adr_upper_bound",
+        "approx": "adr_lower_bound",
+        "asymptotic": "adr_asymptotic",
+        "shannon": "adr_upper_bound",
+        "montecarlo": "empirical_adr",
     },
     ("adr", "csi"): {
-        "numerical": _batched(lambda p, rs: metrics_csi.adr_numerical_gamma(p)),
-        "closed_form": _adr_csi_closed,
-        "approx": _adr_csi_closed,
-        "asymptotic": _batched(lambda p, rs: metrics_csi.adr_simplified(p)),
-        "shannon": _batched(lambda p, rs: metrics_csi.shannon_gamma(p)),
-        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adr(p, "csi", mc)),
+        "numerical": "adr_numerical_gamma",
+        "closed_form": "adr_closed_form",
+        "approx": "adr_closed_form",
+        "asymptotic": "adr_simplified",
+        "shannon": "shannon_gamma",
+        "montecarlo": "empirical_adr",
     },
     ("adep", "nocsi"): {
-        "numerical": _batched(lambda p, rs: metrics_nocsi.adep_numerical(p)),
-        "linearized": _batched(lambda p, rs: metrics_nocsi.adep_linearized(p)),
-        "approx": _batched(lambda p, rs: metrics_nocsi.adep_approx(p)),
-        "asymptotic": _batched(
-            lambda p, rs: metrics_nocsi.adep_asymptotic(p, rs_convention=rs)),
-        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "nocsi", mc)),
+        "numerical": "adep_numerical",
+        "linearized": "adep_linearized",
+        "approx": "adep_approx",
+        "asymptotic": "adep_asymptotic",
+        "montecarlo": "empirical_adep",
     },
     ("adep", "csi"): {
-        "numerical": _batched(lambda p, rs: metrics_csi.adep_numerical(p)),
-        "linearized": _batched(lambda p, rs: metrics_csi.adep_linearized(p)),
-        "asymptotic": _batched(
-            lambda p, rs: metrics_csi.adep_asymptotic(p, rs_convention=rs)),
-        "montecarlo": _sampled(lambda p, mc: montecarlo.empirical_adep(p, "csi", mc)),
+        "numerical": "adep_numerical",
+        "linearized": "adep_linearized",
+        "asymptotic": "adep_asymptotic",
+        "montecarlo": "empirical_adep",
     },
 }
+_MODULES = {"nocsi": metrics_nocsi, "csi": metrics_csi}
 
-VALID_METHODS = {pair: tuple(methods) for pair, methods in _EVALUATORS.items()}
-_METRICS = tuple(dict.fromkeys(metric for metric, _ in _EVALUATORS))
-_MODES = tuple(dict.fromkeys(mode for _, mode in _EVALUATORS))
+
+def _curve(spec, method: str, n: int, rhos: list) -> list:
+    """[(value|None, stderr|None, note)] per rho of one (method, N) curve.
+
+    Monte-Carlo is estimated point by point.  Every other method is one
+    call on the curve's whole rho vector; if it fails, every point carries
+    its note.  The function is looked up on its module at every call, so
+    code that swaps a module attribute (tests, tracing) reaches the sweep.
+    """
+    name = _METHODS[(spec.metric, spec.mode)][method]
+    if method == "montecarlo":
+        estimate = getattr(montecarlo, name)
+        return [_point(estimate, spec._params(n, rho), spec.mode, spec.mc) for rho in rhos]
+    evaluate = getattr(_MODULES[spec.mode], name)
+    kwargs = {"rs_convention": spec.rs_convention} if name == "adep_asymptotic" else {}
+    values, _, note = _point(
+        lambda: (evaluate(spec._params(n, np.array(rhos)), **kwargs), None))
+    if note:
+        return [(None, None, note)] * len(rhos)
+    return [(float(v), None, "") for v in values]
+
+
+VALID_METHODS = {pair: tuple(methods) for pair, methods in _METHODS.items()}
+_METRICS = tuple(dict.fromkeys(metric for metric, _ in _METHODS))
+_MODES = tuple(dict.fromkeys(mode for _, mode in _METHODS))
 
 
 @dataclass(frozen=True)
@@ -200,20 +192,18 @@ class MetricCurve:
 def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     """Evaluate every (method, N, SNR) combination the sweep spec requests.
 
-    Each (method, N) curve is one evaluator call on the curve's whole rho
-    vector.  Per-point failures, including non-finite values, are recorded
+    Each (method, N) curve is one _curve call on the curve's rho vector.
+    Per-point failures, including non-finite values, are recorded
     as missing values with a reason note; the sweep itself never aborts on
     them.
     """
     grid = spec.snr_grid_db
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in grid.tolist()]
-    evaluators = _EVALUATORS[(spec.metric, spec.mode)]
     curves = []
     for method in sorted(spec.methods):
-        evaluate = evaluators[method]
         for n in sorted(spec.n_values):
             ys, errs, notes = [], [], []
-            for val, err, note in evaluate(spec, int(n), rhos):
+            for val, err, note in _curve(spec, method, int(n), rhos):
                 if val is not None and not math.isfinite(val):
                     val, err, note = None, None, f"non-finite value {val}"
                 ys.append(val)

@@ -219,6 +219,19 @@ def test_snr_pdf_csi_integrates_to_cdf():
         assert abs(quad - snr_cdf_csi(x, p)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 20, 256, 1024, 4096])
+def test_snr_pdf_csi_normalized_to_rounding(n):
+    # a fixed Gauss-Legendre rule in v = ln y over [-140, 30], panels a
+    # quarter of the sd of ln Y wide; the law narrows like 2 / sqrt(N k)
+    p = SystemParams(n_elements=n)
+    width = min(0.5, 0.25 * math.sqrt(float(sc.polygamma(1, n * gamma_match(1.0, 1.0).shape))))
+    v, w = nx.gauss_legendre_panels(np.linspace(-140.0, 30.0, math.ceil(170.0 / width) + 1), 16)
+    y = np.exp(v)
+    with np.errstate(under="ignore"):
+        total = math.fsum(w * y * snr_pdf_csi(y, p))
+    assert abs(total - 1.0) <= 1e-14
+
+
 def test_snr_csi_gamma_fit_ks_distance():
     rng = np.random.default_rng(99)
     n, count = 20, 100_000

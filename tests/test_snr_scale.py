@@ -19,7 +19,9 @@ SNR_DB = np.arange(-30.0, 51.0)
     for (metric, mode), methods in cli.VALID_METHODS.items() for method in methods])
 def test_outputs_depend_on_the_product_rho_alpha_beta_only(metric, mode, method):
     # (rho/16) * 2 * 8 is rho exactly, so every value must be bit-identical
-    evaluate = cli._EVALUATORS[(metric, mode)][method]
+    def evaluate(spec, n, rhos):
+        return cli._curve(spec, method, n, rhos)
+
     kw = dict(metric=metric, mode=mode, methods=(method,), snr_start_db=-30.0,
               snr_stop_db=50.0, snr_step_db=1.0, n_values=(3,),
               mc=McConfig(trials=200, seed=5))
