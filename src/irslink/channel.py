@@ -24,7 +24,8 @@ NOCSI_MAX_N), so no large-N no-CSI value comes back silently wrong.
 In both modes the SNR is s Y, s = rho alpha beta = SystemParams.snr_scale,
 with Y the unit-scale variable of the mode's law at rho = alpha = beta = 1.
 log_snr_rule tabulates that law once per (mode, N) as a fixed quadrature
-rule in log y, and log_snr_mean gives its level E[ln Y].
+rule in log y, log_snr_mean gives its level E[ln Y], and cdf_exponent the
+power p that bounds the growth of its CDF, F(x)/x^p non-increasing.
 
 Per-trial channel draws live in montecarlo, whose kernel evaluates the same
 two SNR expressions.
@@ -60,6 +61,7 @@ __all__ = [
     "log_snr_rule",
     "snr_average",
     "log_snr_mean",
+    "cdf_exponent",
 ]
 
 _LN2 = math.log(2.0)
@@ -251,12 +253,14 @@ def snr_pdf_csi(x, params: SystemParams):
     s = params.snr_scale
     log_norm = 0.5 * math.log(a / (2.0 * math.pi)) - _stirlerr(a) - _LN2
     out = np.zeros_like(x_arr)
-    pos = x_arr > 0.0
+    # x = +inf keeps the 0 it starts with, as in snr_pdf_nocsi
+    pos = (x_arr > 0.0) & (x_arr < np.inf)
     xp = x_arr[pos]
     r = np.sqrt(xp) / (math.sqrt(s) * a * theta0)
     out[pos] = np.exp(a * (np.log(r) - (r - 1.0)) + log_norm - np.log(xp))
-    if np.any(~pos):
-        out[~pos] = 0.0 if a > 2.0 else (np.inf if a < 2.0 else 0.5 / (theta0 * theta0 * s))
+    zero = x_arr == 0.0
+    if np.any(zero):
+        out[zero] = 0.0 if a > 2.0 else (np.inf if a < 2.0 else 0.5 / (theta0 * theta0 * s))
     return float(out[0]) if scalar else out
 
 
@@ -337,4 +341,21 @@ def log_snr_mean(params: SystemParams, mode: str) -> float:
     if mode == "csi":
         a, theta0 = _gamma_law(params)
         return 2.0 * (float(digamma(a)) + math.log(theta0))
+    raise ValueError(f"mode must be 'nocsi' or 'csi', got {mode!r}")
+
+
+def cdf_exponent(params: SystemParams, mode: str) -> float:
+    """p with F(x)/x^p non-increasing in x for the mode's SNR CDF F, its small-x order.
+
+    1 without CSI: F(x) = E_G[1 - e^(-bx/G)], G ~ Gamma(N, 1), and
+    (1 - e^(-u))/u decreases.  a/2 = N k/2 for the Gamma model: F(x) =
+    P(a, u) with u proportional to sqrt(x), and P(a, u)/u^a =
+    int_0^1 t^(a-1) e^(-ut) dt / Gamma(a) decreases.  fbl.average_error
+    bounds the error rule's tail with it.
+    """
+    if mode == "nocsi":
+        return 1.0
+    if mode == "csi":
+        a, _ = _gamma_law(params)
+        return 0.5 * a
     raise ValueError(f"mode must be 'nocsi' or 'csi', got {mode!r}")

@@ -7,11 +7,14 @@ The log-rate approximation and the rate gap read its level E[ln XI^2]
 (channel.log_snr_mean).  The "numerical" rate and error average the exact
 rate or error curve over that law on the fixed rules shared with the
 no-CSI metrics (channel.log_snr_rule for ADR, fbl.error_rule by parts for
-ADEP).  The closed forms below combine incomplete gammas and the error
-tail's two 1F1 values (scipy's hyp1f1), assembled in log magnitude where
-factors would otherwise overflow.  Every metric takes a float or a 1-D
-array in params.rho and returns a float or one value per rho, each value
-depending on its own rho alone.
+ADEP).  The ADEP evaluates the CDF on the rule's nodes below its tail
+bound for p = N k/2 (fbl.average_error): at M = 200, D = 100, 135 of 368
+at N = 1, 181 at N = 64, 276 at N = 256 and all from N = 1024.  The
+closed forms below combine incomplete gammas and the error tail's two 1F1
+values (scipy's hyp1f1), assembled in log magnitude where factors would
+otherwise overflow.  Every metric takes a float or a 1-D array in
+params.rho and returns a float or one value per rho, each value depending
+on its own rho alone.
 
 The paper's rate closed form (three pFq series and a digamma term) is an
 identity, not an approximation: it equals the Gamma-model Shannon average
@@ -34,6 +37,7 @@ from .channel import (
     GammaMatch,
     SystemParams,
     _gamma_law,
+    cdf_exponent,
     gamma_match,
     log_snr_mean,
     snr_average,
@@ -127,7 +131,7 @@ def _ramp_delta_p(lp: fbl.LinearizationParams, s, a: float, theta: float):
 
 def adep_numerical(params: SystemParams):
     """Average error, per rho: the error curve averaged by parts against the Gamma-model CDF."""
-    return _clamp_prob(fbl.average_error(snr_cdf_csi, params))
+    return _clamp_prob(fbl.average_error(snr_cdf_csi, params, cdf_exponent(params, "csi")))
 
 
 def adep_linearized(params: SystemParams):

@@ -6,7 +6,9 @@ Each metric exists in up to three strengths:
     Bessel-K SNR law on fixed rules (the reference everything else is
     judged by): ADR against the unit-scale density in log y
     (channel.log_snr_rule), ADEP by parts against the CDF on the nodes of
-    fbl.error_rule.  Both rules are free of rho and cached, so these
+    fbl.error_rule below its tail bound for p = 1 (fbl.average_error; 135
+    of 368 at M = 200, D = 100, for every N).  Both rules and the cut are
+    free of rho and cached, so these
     methods, the rate bounds included, take a 1-D array of rho in
     params.rho and evaluate the whole curve in one vectorized rate or CDF
     call per row block;
@@ -32,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import fbl
-from .channel import SystemParams, log_snr_mean, snr_average, snr_cdf_nocsi
+from .channel import SystemParams, cdf_exponent, log_snr_mean, snr_average, snr_cdf_nocsi
 from .fbl import _clamp_prob, _ramp_average, _rate_asymptote, _rate_penalty
 # integrate_semi_infinite is not called here; the binding stays for the
 # benchmark's tracer, which patches it in this namespace (bench/test_bench.py)
@@ -99,7 +101,7 @@ def adr_asymptotic(params: SystemParams):
 
 def adep_numerical(params: SystemParams):
     """Average error, per rho: the exact error curve averaged by parts against the CDF."""
-    return _clamp_prob(fbl.average_error(snr_cdf_nocsi, params))
+    return _clamp_prob(fbl.average_error(snr_cdf_nocsi, params, cdf_exponent(params, "nocsi")))
 
 
 def adep_linearized(params: SystemParams):

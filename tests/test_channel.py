@@ -219,6 +219,17 @@ def test_snr_pdf_csi_integrates_to_cdf():
         assert abs(quad - snr_cdf_csi(x, p)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 169])
+def test_snr_densities_vanish_at_infinity(n):
+    # the CSI density returned NaN with "invalid value encountered in subtract"
+    p = SystemParams(n_elements=n)
+    x = np.array([1.0, np.inf])
+    for pdf in (snr_pdf_nocsi, snr_pdf_csi):
+        val = pdf(x, p)
+        assert np.isfinite(val[0]) and val[1] == 0.0, pdf.__name__
+        assert pdf(np.inf, p) == 0.0
+
+
 @pytest.mark.parametrize("n", [1, 20, 256, 1024, 4096])
 def test_snr_pdf_csi_normalized_to_rounding(n):
     # a fixed Gauss-Legendre rule in v = ln y over [-140, 30], panels a

@@ -7,6 +7,7 @@ read against mpmath's Bessel K at high precision.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from irslink import fbl, metrics_csi as mc, metrics_nocsi as mn
 from irslink.channel import (
     NOCSI_MAX_N,
     SystemParams,
+    cdf_exponent,
     gamma_match,
     log_snr_rule,
+    snr_cdf_csi,
     snr_cdf_nocsi,
     snr_pdf_csi,
     snr_pdf_nocsi,
@@ -25,6 +28,7 @@ from irslink.numerics import QuadratureSpec, integrate_semi_infinite
 
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 PDF = {"nocsi": snr_pdf_nocsi, "csi": snr_pdf_csi}
+CDF = {"nocsi": snr_cdf_nocsi, "csi": snr_cdf_csi}
 ADEP = {"nocsi": mn.adep_numerical, "csi": mc.adep_numerical}
 ADR = {"nocsi": mn.adr_numerical, "csi": mc.adr_numerical_gamma}
 SHANNON = {"nocsi": mn.adr_upper_bound, "csi": mc.shannon_gamma}
@@ -226,6 +230,66 @@ def test_adep_rule_overflowing_nodes_do_not_warn(n):
         warnings.simplefilter("error")
         for mode in ("nocsi", "csi"):
             assert np.array_equal(ADEP[mode](p), np.ones(rho.size)), mode
+
+
+# (M, D) pairs from a 0.02-bit payload on 2 uses to 300 bits on 50
+CUT_PACKETS = ((200, 100.0), (2, 0.02), (2000, 100.0), (50, 300.0), (200, 1e-3), (10, 8.0))
+CUT_N = {"nocsi": (1, 2, 3, 8, 20, 64, 169), "csi": (1, 2, 8, 20, 64, 256, 1024, 4096)}
+
+
+@pytest.mark.parametrize("mode", ["nocsi", "csi"])
+def test_adep_rule_cut_matches_full_rule(mode):
+    # the dropped tail is at most 2^-60 of the sum, so only the rounding of
+    # the shorter dot product moves a value, and a zero stays a zero
+    rho = 10.0 ** (np.arange(-40.0, 61.0) / 10.0)
+    for m, d in CUT_PACKETS:
+        x, w = fbl.error_rule(m, d)
+        for n in CUT_N[mode]:
+            p = SystemParams(n_elements=n, rho=rho, blocklength=m, packet_bits=d)
+            got = fbl.average_error(CDF[mode], p, cdf_exponent(p, mode))
+            full = CDF[mode](x, SystemParams(n_elements=n, rho=rho[:, None], blocklength=m,
+                                             packet_bits=d)) @ w
+            assert np.array_equal(got == 0.0, full == 0.0), (m, d, n)
+            assert np.all(np.abs(got - full) <= 2e-15 * full), (m, d, n)
+
+
+@pytest.mark.parametrize("mode,n", [("nocsi", 1), ("nocsi", 2), ("nocsi", 20), ("nocsi", 169),
+                                    ("csi", 1), ("csi", 20), ("csi", 1024)])
+def test_cdf_over_exponent_power_does_not_increase_on_the_nodes(mode, n):
+    # the premise of the cut: F(x_i)/x_i^p is non-increasing along the
+    # increasing nodes, up to the rounding of its logarithm (4 ulps of its terms)
+    for m, d in ((200, 100.0), (2, 0.02), (200, 1e-3)):
+        x, _ = fbl.error_rule(m, d)
+        for snr_db in (-40.0, -10.0, 20.0, 60.0):
+            p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0), blocklength=m,
+                             packet_bits=d)
+            f = CDF[mode](x, p)
+            assert np.all(np.diff(f) >= 0.0)
+            pos = f > 0.0
+            log_f, log_xp = np.log(f[pos]), cdf_exponent(p, mode) * np.log(x[pos])
+            slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(log_f) + np.abs(log_xp))
+            assert np.all(np.diff(log_f - log_xp) <= slack[1:]), (m, d, snr_db)
+
+
+def test_adep_rule_cut_is_cached_and_free_of_rho():
+    m, d = 200, 100.0
+    x, _ = fbl.error_rule(m, d)
+    for mode in ("nocsi", "csi"):
+        seen = []
+
+        def cdf(nodes, params):
+            seen.append(nodes)
+            return CDF[mode](nodes, params)
+
+        p = SystemParams(n_elements=20, blocklength=m, packet_bits=d)
+        k = fbl._error_rule_length(m, d, cdf_exponent(p, mode))
+        misses = fbl._error_rule_length.cache_info().misses
+        for rho in (1e-4, 1.0, 1e6, np.array([1e-3, 10.0, 1e5])):
+            fbl.average_error(cdf, replace(p, rho=rho), cdf_exponent(p, mode))
+        assert fbl._error_rule_length.cache_info().misses == misses
+        assert k < x.size
+        assert all(nodes.base is x and np.array_equal(nodes, x[:k]) for nodes in seen)
+    assert fbl._error_rule_length(m, d, 1.0) == 135
 
 
 def test_adep_rule_steep_csi_law():
