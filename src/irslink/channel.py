@@ -323,8 +323,9 @@ def snr_average(g, params: SystemParams, mode: str):
     params.rho is a float or a 1-D array; the result is a float or one
     value per rho.  g must be elementwise: it is called on the (rho, node)
     grid of SNR values s y_j, s = snr_scale, one row block at a time, and
-    each row is reduced by its own dot product with the weights (see
-    numerics._dot_per_rho), so a value does not depend on the other rho.
+    each block is weighted and summed along its rows in one reduction
+    (numerics._dot_per_rho), which sums every row in the order its length
+    fixes, so a value does not depend on the other rho.
     """
     y, w = log_snr_rule(mode, params.n_elements)
     return _dot_per_rho(w, lambda s: g(s * y), params.snr_scale)

@@ -85,25 +85,28 @@ _METHODS = {
 _MODULES = {"nocsi": metrics_nocsi, "csi": metrics_csi}
 
 
-def _curve(spec, method: str, n: int, rhos: list) -> list:
-    """[(value|None, stderr|None, note)] per rho of one (method, N) curve.
+def _curve(spec, method: str, n: int, rhos: list) -> tuple[list, list, list]:
+    """(values, stderrs, notes) of one (method, N) curve: three lists, one entry per rho.
 
-    Monte-Carlo is estimated point by point.  Every other method is one
-    call on the curve's whole rho vector; if it fails, every point carries
-    its note.  The function is looked up on its module at every call, so
-    code that swaps a module attribute (tests, tracing) reaches the sweep.
+    A value or stderr is None where the point failed, and its note then
+    says why.  Monte-Carlo is estimated point by point.  Every other method
+    is one call on the curve's whole rho vector, whose values become floats
+    in one tolist(); if the call fails, every point carries its note.  The
+    function is looked up on its module at every call, so code that swaps
+    a module attribute (tests, tracing) reaches the sweep.
     """
     name = _METHODS[(spec.metric, spec.mode)][method]
     if method == "montecarlo":
         estimate = getattr(montecarlo, name)
-        return [_point(estimate, spec._params(n, rho), spec.mode, spec.mc) for rho in rhos]
+        points = [_point(estimate, spec._params(n, rho), spec.mode, spec.mc) for rho in rhos]
+        return tuple(list(column) for column in zip(*points))
     evaluate = getattr(_MODULES[spec.mode], name)
     kwargs = {"rs_convention": spec.rs_convention} if name == "adep_asymptotic" else {}
     values, _, note = _point(
         lambda: (evaluate(spec._params(n, np.array(rhos)), **kwargs), None))
     if note:
-        return [(None, None, note)] * len(rhos)
-    return [(float(v), None, "") for v in values]
+        return [None] * len(rhos), [None] * len(rhos), [note] * len(rhos)
+    return np.asarray(values, dtype=float).tolist(), [None] * len(rhos), [""] * len(rhos)
 
 
 VALID_METHODS = {pair: tuple(methods) for pair, methods in _METHODS.items()}
@@ -202,18 +205,14 @@ def run_sweep(spec: SweepSpec) -> list[MetricCurve]:
     curves = []
     for method in sorted(spec.methods):
         for n in sorted(spec.n_values):
-            ys, errs, notes = [], [], []
-            for val, err, note in _curve(spec, method, int(n), rhos):
+            ys, errs, notes = _curve(spec, method, int(n), rhos)
+            for i, val in enumerate(ys):
                 if val is not None and not math.isfinite(val):
-                    val, err, note = None, None, f"non-finite value {val}"
-                ys.append(val)
-                errs.append(err)
-                notes.append(note)
+                    ys[i], errs[i], notes[i] = None, None, f"non-finite value {val}"
             has_err = any(e is not None for e in errs)
             curves.append(MetricCurve(
                 metric=spec.metric, mode=spec.mode, method=method, n=int(n),
-                x=[float(v) for v in grid], y=ys,
-                y_err=errs if has_err else None, notes=notes))
+                x=grid.tolist(), y=ys, y_err=errs if has_err else None, notes=notes))
     return curves
 
 

@@ -251,9 +251,9 @@ def average_error(cdf, params, exponent: float):
     (_error_rule_length; no CSI at M = 200, D = 100 keeps 135 of 368).
     cdf must broadcast an array params.rho against x: it is called on the
     kept nodes of error_rule(M, D) with a column of rho values, one row
-    block at a time, and each row is reduced by its own dot product with
-    the weights (see numerics._dot_per_rho), so a value does not depend on
-    the other rho.
+    block at a time, and each block is weighted and summed along its rows
+    in one reduction (numerics._dot_per_rho), which sums every row in the
+    order its length fixes, so a value does not depend on the other rho.
     """
     x, w = error_rule(params.blocklength, params.packet_bits)
     k = _error_rule_length(params.blocklength, params.packet_bits, exponent)

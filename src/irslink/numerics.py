@@ -23,7 +23,12 @@ through this module, so the contracts here are deliberately strict:
     the adaptive Gauss-Kronrod engine (integrate_interval,
     integrate_semi_infinite) remains for the no-CSI ramp integral of the
     CDF, which integrate_interval takes as one family of integrands per
-    curve (one row per rho), and as the tight reference in tests.
+    curve (one row per rho) and whose first panel it reduces for every
+    row at once, and as the tight reference in tests;
+  - every weighted sum, of a rule block and of a Gauss-Kronrod panel, is
+    one _row_sums over its rows: numpy's pairwise sum along the last
+    axis, so a row's value is bit for bit that of the row on its own and
+    a curve's values do not depend on the other points of the curve.
 
 All functions are pure and thread-safe; array inputs are supported where
 noted.  Angles, tolerances and counts are plain floats/ints.
@@ -335,14 +340,28 @@ def gauss_legendre_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
+def _row_sums(rows: np.ndarray, w: np.ndarray):
+    """sum_j rows[..., j] w[j] for each row: one value per row, or a float64 for a 1-D row.
+
+    numpy adds up the products along their contiguous last axis pairwise
+    (a short loop below 8 terms, 8 partial sums up to 128, halves above),
+    a summation order fixed by the row length alone: so each row's sum is
+    bit for bit that of the row on its own, whatever the other rows.  The
+    products are laid out in C order for that, whatever the layout of
+    rows; a matrix product or BLAS dot would not guarantee the order.
+    """
+    return np.add.reduce(np.multiply(rows, w, order="C"), axis=-1)
+
+
 def _dot_per_rho(w: np.ndarray, grid, rho):
-    """np.dot(w, row) for each row of grid(rho[:, None]), one value per rho.
+    """The weighted sum of each row of grid(rho[:, None]) with w, one value per rho.
 
     rho is a float or a 1-D array; grid maps a column of rho values to
     their rows of len(w) values.  It is called once per block of at most
-    _BLOCK_DOUBLES // len(w) rows (at least one), and each row is reduced
-    on its own, so every value depends only on its rho; a float rho gives
-    the float of the one-row case.
+    _BLOCK_DOUBLES // len(w) rows (at least one), and each block is reduced
+    by one _row_sums, whose row values depend only on their own row: so
+    every value depends only on its rho, and a float rho gives the float
+    of the one-row case.
     """
     if np.ndim(rho) > 1:
         raise ValueError(f"rho must be a float or a 1-D array, got shape {np.shape(rho)}")
@@ -350,9 +369,7 @@ def _dot_per_rho(w: np.ndarray, grid, rho):
     out = np.empty(rho_arr.shape)
     step = max(1, _BLOCK_DOUBLES // w.size)
     for start in range(0, rho_arr.size, step):
-        rows = grid(rho_arr[start:start + step, None])
-        for i, row in enumerate(rows, start):
-            out[i] = np.dot(w, row)
+        out[start:start + step] = _row_sums(grid(rho_arr[start:start + step, None]), w)
     return float(out[0]) if np.ndim(rho) == 0 else out
 
 
@@ -400,12 +417,12 @@ _WGK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
+# The embedded 7-point Gauss weights, on the Kronrod nodes: 0 at the other 8.
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0, 0.381830050505119, 0.0,
     0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
+    0.0, 0.381830050505119, 0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -419,17 +436,38 @@ def _gk15_nodes(a: float, b: float) -> np.ndarray:
 
 
 def _gk15_sums(vals: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """(integral, error estimate) of the panel [a, b] from the 15 values at its nodes."""
+    """(integral, error estimate) of the panel [a, b] from the 15 values at its nodes.
+
+    The one-row case of _gk15_rows.
+    """
+    resk, err = _gk15_rows(vals, a, b)
+    return float(resk), float(err)
+
+
+def _gk15_rows(vals: np.ndarray, a: float, b: float):
+    """(integrals, error estimates) of the panel [a, b], one per row of the (..., 15) values.
+
+    Every sum is a _row_sums, so each row's pair depends only on that row;
+    a 1-D row gives one pair of 0-d values, in numpy's cheaper scalar
+    arithmetic.
+    The error estimate is QUADPACK's: |K - G| scaled by resasc, the Kronrod
+    sum of |f - mean|, as resasc min(1, r^1.5) with r = 200 |K - G| / resasc;
+    a row whose resasc is 0 (a constant row whose mean is exact, such as
+    zeros) keeps |K - G|, and its 0/0 or x/0 is discarded without a
+    warning.  r^1.5 is taken as r sqrt(r): numpy's array power rounds
+    differently from its scalar power in the last bit, while sqrt is
+    correctly rounded in both, so a row's estimate is the same either way.
+    """
     half = 0.5 * (b - a)
-    resk = half * float(np.dot(_WGK, vals))
-    resg = half * float(np.dot(_WG, vals[_GAUSS_IDX]))
-    # QUADPACK-style scaled error estimate
-    mean = resk / (b - a) if b != a else 0.0
-    resasc = half * float(np.dot(_WGK, np.abs(vals - mean)))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+    resk = half * _row_sums(vals, _WGK)
+    resg = half * _row_sums(vals, _WG)
+    mean = resk / (b - a) if b != a else np.zeros_like(resk)
+    resasc = half * _row_sums(np.abs(vals - mean[..., None]), _WGK)
+    err = np.abs(resk - resg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 200.0 * err / resasc
+        scaled = resasc * np.minimum(1.0, ratio * np.sqrt(ratio))
+    return resk, np.where(resasc != 0.0, scaled, err)
 
 
 def _adaptive(f, panels: list[tuple[float, float, float, float]],
@@ -472,10 +510,11 @@ def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     f must accept an ndarray of abscissae and return an ndarray of values,
     or a (k, len(x)) array of them, one row per integrand of a family; then
     f(x, i) must return row i alone, and the result is an array of the k
-    integrals.  The first Gauss-Kronrod panel on [lo, hi] is evaluated once
-    for every row; a row whose panel meets the tolerance takes it, and any
-    other row is refined alone from it, on f(x, i).  Each row is reduced
-    on its own, so its integral is bit for bit that of a 1-D call on its
+    integrals.  The first Gauss-Kronrod panel on [lo, hi] is evaluated and
+    reduced once for every row (_gk15_rows); a row whose panel meets the
+    tolerance takes it, and only the other rows are refined, each alone
+    from its panel, on f(x, i).  A row's panel sums depend only on that
+    row, so its integral is bit for bit that of a 1-D call on its
     integrand, which is the one-row case.  Endpoints are never evaluated,
     so integrable endpoint singularities are tolerated.  For hi == lo the
     result is 0.0, or k zeros for a family, whose k is read from f at an
@@ -489,15 +528,15 @@ def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec | None = No
         return float(zeros) if zeros.ndim == 0 else zeros
     lo, hi = float(lo), float(hi)
     vals = np.asarray(f(_gk15_nodes(lo, hi)), dtype=float)
-    rows = np.atleast_2d(vals)
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
+    totals, errs = _gk15_rows(np.atleast_2d(vals), lo, hi)
+    missed = errs > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
+    for i in np.flatnonzero(missed).tolist():
         row_f = f if vals.ndim == 1 else (lambda x, i=i: f(x, i))
-        total, err = _adaptive(row_f, [(lo, hi, *_gk15_sums(row, lo, hi))], spec)
+        total, err = _adaptive(row_f, [(lo, hi, float(totals[i]), float(errs[i]))], spec)
         if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
             raise ToleranceError("interval quadrature tolerance not met", total, err)
-        out[i] = total
-    return float(out[0]) if vals.ndim == 1 else out
+        totals[i] = total
+    return float(totals[0]) if vals.ndim == 1 else totals
 
 
 _SCAN_GRID = np.geomspace(1e-12, 1e15, 271)

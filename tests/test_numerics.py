@@ -235,6 +235,57 @@ def test_per_rho_maps_a_float_formula():
         nx._per_rho(math.exp, 710.0)
 
 
+def _wide_rows(rng, r, k):
+    """r rows of k terms of both signs over 26 decades: any change of summation order shows."""
+    return rng.standard_normal((r, k)) * np.exp(rng.uniform(-30.0, 30.0, (r, k)))
+
+
+# numpy's pairwise sum: a plain loop below 8 terms, 8 partial sums up to
+# 128 terms (15, the Gauss-Kronrod panel), halves above (135 and 368, the
+# cut and full error rule at M = 200, D = 100)
+@pytest.mark.parametrize("k", [3, 7, 15, 135, 368, 800])
+def test_row_sums_equal_one_row_reductions(k):
+    rng = np.random.default_rng(k)
+    w = rng.uniform(0.0, 1.0, k)
+    for r in (1, 2, 7, 60, 81):
+        rows = _wide_rows(rng, r, k)
+        sums = nx._row_sums(rows, w)
+        assert sums.shape == (r,)
+        assert sums.tolist() == [float(nx._row_sums(row.copy(), w)) for row in rows]
+        # the same sums whatever the memory layout of the block
+        assert nx._row_sums(np.asfortranarray(rows), w).tolist() == sums.tolist()
+
+
+def test_dot_per_rho_rows_equal_one_row_calls():
+    # blocks of _BLOCK_DOUBLES // 368 = 22 rows: 81 rho span four of them
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.0, 1.0, 368)
+    terms = _wide_rows(rng, 1, 368)[0]
+
+    def grid(rho):
+        return np.sin(rho) * terms
+
+    rho = np.linspace(0.1, 8.0, 81)
+    curve = nx._dot_per_rho(w, grid, rho)
+    assert curve.tolist() == [nx._dot_per_rho(w, grid, r) for r in rho.tolist()]
+    assert type(nx._dot_per_rho(w, grid, 2.0)) is float
+
+
+def test_gk15_sums_equal_rows_of_the_batched_panel():
+    rng = np.random.default_rng(15)
+    wide = _wide_rows(rng, 40, 15)
+    wide[3] = 0.0  # both halves of QUADPACK's error ratio vanish
+    wide[7] = 1.0
+    for a, b in ((0.0, 1.0), (0.41421356237309503, 2.7), (-3.0, -2.5)):
+        # smooth rows keep the estimate's ratio below 1, where its power
+        # shows in the last bit; the wide rows cap it at 1
+        smooth = np.exp(np.linspace(0.5, 40.0, 400)[:, None] * nx._gk15_nodes(a, b) / (b - a))
+        vals = np.vstack([wide, smooth])
+        totals, errs = nx._gk15_rows(vals, a, b)
+        assert [nx._gk15_sums(row, a, b) for row in vals] == list(zip(totals.tolist(),
+                                                                        errs.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -321,6 +372,22 @@ def test_integrate_interval_family_rows_equal_scalar_calls():
     refined = {row for row, _ in calls[1:]}
     assert refined == {1, 2}
     assert sum(row == 1 for row, _ in calls) > 2  # subdivided
+
+
+def test_integrate_interval_family_mixes_constant_passing_and_refined_rows():
+    # constant rows (a zero row is the 0/0 case of the error estimate; the
+    # no-CSI ramp is all ones at -40 dB) beside a row that passes on the
+    # first panel and two that refine: each row equals its 1-D call, and
+    # no row's estimate divides by zero
+    funcs = (np.zeros_like, np.ones_like) + ROWS
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = nx.integrate_interval(_family(funcs, calls), 0.0, 1.0)
+        scalar = [nx.integrate_interval(g, 0.0, 1.0) for g in funcs]
+    assert vals.tolist() == scalar
+    assert vals[0] == 0.0 and abs(vals[1] - 1.0) < 1e-14
+    assert {row for row, _ in calls[1:]} == {3, 4}
 
 
 def test_integrate_interval_family_row_out_of_budget_raises():

@@ -240,7 +240,7 @@ CUT_N = {"nocsi": (1, 2, 3, 8, 20, 64, 169), "csi": (1, 2, 8, 20, 64, 256, 1024,
 @pytest.mark.parametrize("mode", ["nocsi", "csi"])
 def test_adep_rule_cut_matches_full_rule(mode):
     # the dropped tail is at most 2^-60 of the sum, so only the rounding of
-    # the shorter dot product moves a value, and a zero stays a zero
+    # the shorter row sum moves a value, and a zero stays a zero
     rho = 10.0 ** (np.arange(-40.0, 61.0) / 10.0)
     for m, d in CUT_PACKETS:
         x, w = fbl.error_rule(m, d)
