@@ -23,8 +23,9 @@ through this module, so the contracts here are deliberately strict:
     the adaptive Gauss-Kronrod engine (integrate_interval,
     integrate_semi_infinite) remains for the no-CSI ramp integral of the
     CDF, which integrate_interval takes as one family of integrands per
-    curve (one row per rho) and whose first panel it reduces for every
-    row at once, and as the tight reference in tests;
+    curve (one row per rho), and as the tight reference in tests; every
+    list of its panels (a family's first panel, a split's two halves, the
+    initial decades) is one integrand call and one _gk15_rows reduction;
   - every weighted sum, of a rule block and of a Gauss-Kronrod panel, is
     one _row_sums over its rows: numpy's pairwise sum along the last
     axis, so a row's value is bit for bit that of the row on its own and
@@ -105,7 +106,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
+        if not self.abs_tol >= 0.0:
             raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
@@ -425,43 +426,40 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (integral, error estimate)."""
-    return _gk15_sums(np.asarray(f(_gk15_nodes(a, b)), dtype=float), a, b)
+def _gk15_panels(f, a: np.ndarray, b: np.ndarray):
+    """(integrals, error estimates) of the panels [a_j, b_j] from one call of f.
 
-
-def _gk15_nodes(a: float, b: float) -> np.ndarray:
-    """The 15 Kronrod abscissae of the panel [a, b]."""
-    return 0.5 * (a + b) + 0.5 * (b - a) * _XGK
-
-
-def _gk15_sums(vals: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """(integral, error estimate) of the panel [a, b] from the 15 values at its nodes.
-
-    The one-row case of _gk15_rows.
+    a and b are 1-D arrays of the P panels' bounds.  f gets their 15 P
+    Kronrod abscissae as one flat array, panel after panel, and returns
+    their values, or a (k, 15 P) array of them for a family of k
+    integrands; the pairs come back with shape (P,), or (k, P).  A value
+    that is not finite raises DomainError naming its abscissa.
     """
-    resk, err = _gk15_rows(vals, a, b)
-    return float(resk), float(err)
+    x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _XGK
+    vals = np.asarray(f(x.ravel()), dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = x.ravel()[np.argwhere(~finite)[0, -1]]
+        raise DomainError(f"integrand not finite at x={bad}")
+    return _gk15_rows(vals.reshape(vals.shape[:-1] + x.shape), a, b)
 
 
-def _gk15_rows(vals: np.ndarray, a: float, b: float):
-    """(integrals, error estimates) of the panel [a, b], one per row of the (..., 15) values.
+def _gk15_rows(vals: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(integrals, error estimates) of the panels [a_j, b_j], one per row of the (..., P, 15) values.
 
-    Every sum is a _row_sums, so each row's pair depends only on that row;
-    a 1-D row gives one pair of 0-d values, in numpy's cheaper scalar
-    arithmetic.
-    The error estimate is QUADPACK's: |K - G| scaled by resasc, the Kronrod
-    sum of |f - mean|, as resasc min(1, r^1.5) with r = 200 |K - G| / resasc;
-    a row whose resasc is 0 (a constant row whose mean is exact, such as
-    zeros) keeps |K - G|, and its 0/0 or x/0 is discarded without a
-    warning.  r^1.5 is taken as r sqrt(r): numpy's array power rounds
-    differently from its scalar power in the last bit, while sqrt is
-    correctly rounded in both, so a row's estimate is the same either way.
+    a_j < b_j.  Every sum is a _row_sums, so each row's pair depends only
+    on that row and its panel.  The error estimate is QUADPACK's: |K - G|
+    scaled by resasc, the Kronrod sum of |f - mean|, as resasc min(1, r^1.5)
+    with r = 200 |K - G| / resasc; a row whose resasc is 0 (a constant row
+    whose mean is exact, such as zeros) keeps |K - G|, and its 0/0 or x/0
+    is discarded without a warning.  r^1.5 is taken as r sqrt(r), which
+    numpy rounds correctly.
     """
-    half = 0.5 * (b - a)
+    width = b - a
+    half = 0.5 * width
     resk = half * _row_sums(vals, _WGK)
     resg = half * _row_sums(vals, _WG)
-    mean = resk / (b - a) if b != a else np.zeros_like(resk)
+    mean = resk / width
     resasc = half * _row_sums(np.abs(vals - mean[..., None]), _WGK)
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -470,9 +468,17 @@ def _gk15_rows(vals: np.ndarray, a: float, b: float):
     return resk, np.where(resasc != 0.0, scaled, err)
 
 
-def _adaptive(f, panels: list[tuple[float, float, float, float]],
-              spec: QuadratureSpec) -> tuple[float, float]:
-    """Refine the panels (a, b, integral, error) until the summed error meets the tolerance."""
+def _error_bound(spec: QuadratureSpec, total):
+    """The error a total may carry, max(abs_tol, rel_tol |total|); per element of an array."""
+    return np.maximum(spec.abs_tol, spec.rel_tol * abs(total))
+
+
+def _adaptive(f, panels, spec: QuadratureSpec) -> float:
+    """The sum of the panels (a, b, integral, error), refined until its error meets the tolerance.
+
+    Each split evaluates both halves of the panel of largest error in one
+    call of f (30 abscissae); ToleranceError when the splits run out.
+    """
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0
     total = 0.0
@@ -483,25 +489,24 @@ def _adaptive(f, panels: list[tuple[float, float, float, float]],
         total += val
         total_err += err
     splits = 0
-    while heap and total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions:
+    while total_err > _error_bound(spec, total):
+        if not heap or splits >= spec.max_subdivisions:
             raise ToleranceError("quadrature tolerance not met", total, total_err)
-        neg_err, _, a, b, val, err = heapq.heappop(heap)
+        _, _, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # panel at floating-point resolution; accept its estimate
             total_err -= err
             continue
-        lv, le = _gk15(f, a, mid)
-        rv, re = _gk15(f, mid, b)
+        vals, errs = _gk15_panels(f, np.array([a, mid]), np.array([mid, b]))
+        (lv, rv), (le, re) = vals.tolist(), errs.tolist()
         total += (lv + rv) - val
         total_err += (le + re) - err
         heapq.heappush(heap, (-le, counter, a, mid, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, mid, b, rv, re))
-        counter += 1
+        heapq.heappush(heap, (-re, counter + 1, mid, b, rv, re))
+        counter += 2
         splits += 1
-    return total, total_err
+    return total
 
 
 def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
@@ -511,32 +516,32 @@ def integrate_interval(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     or a (k, len(x)) array of them, one row per integrand of a family; then
     f(x, i) must return row i alone, and the result is an array of the k
     integrals.  The first Gauss-Kronrod panel on [lo, hi] is evaluated and
-    reduced once for every row (_gk15_rows); a row whose panel meets the
+    reduced once for every row (_gk15_panels); a row whose panel meets the
     tolerance takes it, and only the other rows are refined, each alone
     from its panel, on f(x, i).  A row's panel sums depend only on that
     row, so its integral is bit for bit that of a 1-D call on its
     integrand, which is the one-row case.  Endpoints are never evaluated,
     so integrable endpoint singularities are tolerated.  For hi == lo the
     result is 0.0, or k zeros for a family, whose k is read from f at an
-    empty array of abscissae.
+    empty array of abscissae.  A bound or a value of f that is not finite
+    raises DomainError.
     """
     spec = spec or DEFAULT_QUADRATURE
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integrate_interval requires finite bounds, got [{lo}, {hi}]")
     if hi < lo:
         raise DomainError(f"integrate_interval requires hi >= lo, got [{lo}, {hi}]")
     if hi == lo:
         zeros = np.zeros(np.shape(f(np.empty(0)))[:-1])
         return float(zeros) if zeros.ndim == 0 else zeros
     lo, hi = float(lo), float(hi)
-    vals = np.asarray(f(_gk15_nodes(lo, hi)), dtype=float)
-    totals, errs = _gk15_rows(np.atleast_2d(vals), lo, hi)
-    missed = errs > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
-    for i in np.flatnonzero(missed).tolist():
-        row_f = f if vals.ndim == 1 else (lambda x, i=i: f(x, i))
-        total, err = _adaptive(row_f, [(lo, hi, float(totals[i]), float(errs[i]))], spec)
-        if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-            raise ToleranceError("interval quadrature tolerance not met", total, err)
-        totals[i] = total
-    return float(totals[0]) if vals.ndim == 1 else totals
+    totals, errs = _gk15_panels(f, np.array([lo]), np.array([hi]))
+    family = totals.ndim == 2
+    totals, errs = totals.reshape(-1), errs.reshape(-1)
+    for i in np.flatnonzero(errs > _error_bound(spec, totals)).tolist():
+        row_f = (lambda x, i=i: f(x, i)) if family else f
+        totals[i] = _adaptive(row_f, [(lo, hi, float(totals[i]), float(errs[i]))], spec)
+    return totals if family else float(totals[0])
 
 
 _SCAN_GRID = np.geomspace(1e-12, 1e15, 271)
@@ -548,55 +553,44 @@ def integrate_semi_infinite(f, spec: QuadratureSpec | None = None) -> float:
     The peak of |f| is located on a geometric scan grid, the tail is
     truncated where the scanned magnitude stays below 1e-16 of the
     peak, and the remaining range is compactified with x = c t/(1-t)
-    before adaptive Gauss-Kronrod subdivision.  Deterministic for fixed
-    inputs.  f must accept ndarray abscissae.
+    before adaptive Gauss-Kronrod subdivision from one panel per decade.
+    Deterministic for fixed inputs.  f must accept ndarray abscissae; a
+    value that is not finite, on the scan or at a node, raises DomainError.
     """
     spec = spec or DEFAULT_QUADRATURE
     with np.errstate(all="ignore"):
         scan = np.abs(np.asarray(f(_SCAN_GRID), dtype=float))
-    scan = np.where(np.isfinite(scan), scan, np.inf)
-    if np.any(np.isinf(scan)):
+    if not np.isfinite(scan).all():
         # non-finite interior values come from genuine singularities mid-range;
         # the link-metric integrands only diverge at 0, which the scan skips
-        bad = _SCAN_GRID[np.isinf(scan)][0]
+        bad = _SCAN_GRID[~np.isfinite(scan)][0]
         raise DomainError(f"integrand not finite at x={bad}")
     peak = float(scan.max())
     if peak == 0.0:
         return 0.0
-    i_peak = int(scan.argmax())
-    x_peak = float(_SCAN_GRID[i_peak])
+    x_peak = float(_SCAN_GRID[scan.argmax()])
 
-    # truncation point: first grid point past the peak with the whole
-    # remaining scanned tail below cutoff
-    below = scan <= _TAIL_CUTOFF * peak
-    upper = None
-    for i in range(i_peak + 1, len(scan)):
-        if below[i:].all():
-            upper = float(_SCAN_GRID[i])
-            break
-    if upper is None:
+    # truncation point: the grid point after the last scanned magnitude
+    # above cutoff, which is at or past the peak
+    stop = int(np.flatnonzero(scan > _TAIL_CUTOFF * peak)[-1]) + 1
+    if stop == scan.size:
         raise ToleranceError(
             "integrand tail not below cutoff by x=1e15; cannot truncate", 0.0, math.inf
         )
-
+    upper = float(_SCAN_GRID[stop])
     scale = min(max(x_peak, 1e-6), 1e12)
 
-    def to_t(x: float) -> float:
-        return x / (x + scale)
-
     def g(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
         x = scale * t / (1.0 - t)
         return np.asarray(f(x), dtype=float) * scale / (1.0 - t) ** 2
 
     # initial panel edges: decade marks up to the truncation point, so the
-    # peak region and any integrable singularity at 0 start well bracketed
+    # peak region and any integrable singularity at 0 start well bracketed;
+    # all of their panels are evaluated in one call
     decades = [10.0 ** e for e in range(-12, 16)]
-    edges_x = [0.0] + [d for d in decades if d < upper] + [upper]
-    edges_t = [to_t(x) for x in edges_x]
-    panels = [(a, b, *_gk15(g, a, b)) for a, b in zip(edges_t, edges_t[1:]) if a != b]
-
-    total, err = _adaptive(g, panels, spec)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        raise ToleranceError("semi-infinite quadrature tolerance not met", total, err)
-    return total
+    edges_x = np.array([0.0] + [d for d in decades if d < upper] + [upper])
+    edges_t = edges_x / (edges_x + scale)
+    distinct = edges_t[:-1] != edges_t[1:]
+    a, b = edges_t[:-1][distinct], edges_t[1:][distinct]
+    vals, errs = _gk15_panels(g, a, b)
+    return _adaptive(g, zip(a.tolist(), b.tolist(), vals.tolist(), errs.tolist()), spec)

@@ -163,18 +163,18 @@ def test_adep_linearized_step_limit(monkeypatch):
 def test_adep_linearized_curve_equals_scalar_calls(monkeypatch, n, m, d):
     # one integral call per curve, bit for bit its scalar calls; at N = 1,
     # M = 2, D = 0.02 every rho misses the tolerance on the shared first
-    # panel and is refined alone (numerics._gk15 runs only in refinement)
-    refined = set()
-    gk15 = numerics._gk15
+    # panel and is refined alone (one numerics._adaptive call per such rho)
+    refined = []
+    adaptive = numerics._adaptive
 
-    def counting(f, a, b):
-        refined.add(f)
-        return gk15(f, a, b)
+    def counting(f, panels, spec):
+        refined.append(f)
+        return adaptive(f, panels, spec)
 
     rho = 10.0 ** (np.arange(-40.0, 61.0, 5.0) / 10.0)
     p = SystemParams(n_elements=n, blocklength=m, packet_bits=d, rho=rho)
     scalar = [mn.adep_linearized(_at(p, rho=r)) for r in rho.tolist()]
-    monkeypatch.setattr(numerics, "_gk15", counting)
+    monkeypatch.setattr(numerics, "_adaptive", counting)
     curve = mn.adep_linearized(p)
     assert curve.tolist() == scalar
     assert len(refined) == (rho.size if d == 0.02 else 0)

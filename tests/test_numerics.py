@@ -271,19 +271,30 @@ def test_dot_per_rho_rows_equal_one_row_calls():
     assert type(nx._dot_per_rho(w, grid, 2.0)) is float
 
 
-def test_gk15_sums_equal_rows_of_the_batched_panel():
+def test_gk15_rows_equal_each_row_reduced_alone():
+    # panels with different bounds reduced at once, as a split's two halves
+    # and the initial decades are: each (row, panel) pair is bit for bit
+    # that row reduced alone on its panel
+    a = np.array([0.0, 0.41421356237309503, -3.0])
+    b = np.array([1.0, 2.7, -2.5])
     rng = np.random.default_rng(15)
-    wide = _wide_rows(rng, 40, 15)
+    wide = _wide_rows(rng, 40 * a.size, 15).reshape(40, a.size, 15)
     wide[3] = 0.0  # both halves of QUADPACK's error ratio vanish
     wide[7] = 1.0
-    for a, b in ((0.0, 1.0), (0.41421356237309503, 2.7), (-3.0, -2.5)):
-        # smooth rows keep the estimate's ratio below 1, where its power
-        # shows in the last bit; the wide rows cap it at 1
-        smooth = np.exp(np.linspace(0.5, 40.0, 400)[:, None] * nx._gk15_nodes(a, b) / (b - a))
-        vals = np.vstack([wide, smooth])
+    # smooth rows keep the estimate's ratio below 1, where its power shows
+    # in the last bit; the wide rows cap it at 1
+    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * nx._XGK
+    smooth = np.exp(np.linspace(0.5, 40.0, 400)[:, None, None] * nodes / (b - a)[:, None])
+    vals = np.concatenate([wide, smooth])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         totals, errs = nx._gk15_rows(vals, a, b)
-        assert [nx._gk15_sums(row, a, b) for row in vals] == list(zip(totals.tolist(),
-                                                                        errs.tolist()))
+        alone = [nx._gk15_rows(vals[i, j].copy()[None], a[j:j + 1], b[j:j + 1])
+                 for i in range(vals.shape[0]) for j in range(a.size)]
+    assert totals.shape == errs.shape == (440, 3)
+    assert [(t.item(), e.item()) for t, e in alone] == list(zip(totals.ravel().tolist(),
+                                                                errs.ravel().tolist()))
+    assert totals[3].tolist() == [0.0] * 3 and errs[3].tolist() == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +306,8 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(abs_tol=-1.0)
+    with pytest.raises(DomainError):
+        QuadratureSpec(abs_tol=float("nan"))
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
 
@@ -365,10 +378,11 @@ def test_integrate_interval_family_rows_equal_scalar_calls():
     # bit for bit the 1-D calls, whatever path each row took
     assert vals.tolist() == [nx.integrate_interval(g, 0.0, 1.0) for g in ROWS]
     assert abs(vals[1] - 2.0 / 3.0) < 1e-9
-    # the first panel is one call for every row; only the rows that miss
-    # the tolerance there are refined, each alone on its own row
+    # the first panel is one call for every row of 15 abscissae; only
+    # the rows that miss the tolerance there are refined, each alone on its
+    # own row, and each split is one call on both halves' 30 abscissae
     assert calls[0] == (None, 15)
-    assert all(n == 15 for _, n in calls)
+    assert all(n == 30 for _, n in calls[1:])
     refined = {row for row, _ in calls[1:]}
     assert refined == {1, 2}
     assert sum(row == 1 for row, _ in calls) > 2  # subdivided
@@ -399,6 +413,20 @@ def test_integrate_interval_family_row_out_of_budget_raises():
         nx.integrate_interval(ROWS[1], 0.0, 1.0, spec)
     assert str(family.value) == str(row.value)
     assert family.value.estimate == row.value.estimate
+
+
+@pytest.mark.parametrize("f, lo, hi, where", [
+    (np.exp, 0.0, np.inf, "finite bounds, got [0.0, inf]"),
+    (np.exp, math.nan, 1.0, "finite bounds, got [nan, 1.0]"),
+    # the first abscissa, 0.5 - 0.5 * 0.991455371120813
+    (lambda x: np.full_like(x, math.nan), 0.0, 1.0, "x=0.0042723144395935275"),
+    (lambda x: 1.0 / (x - 0.5), 0.0, 1.0, "x=0.5"),   # the first panel's centre
+    (lambda x: 1.0 / (x - 0.25), 0.0, 1.0, "x=0.25"),  # a split half's centre
+])
+def test_integrate_interval_rejects_non_finite_bounds_and_values(f, lo, hi, where):
+    with np.errstate(divide="ignore"), pytest.raises(DomainError) as err:
+        nx.integrate_interval(f, lo, hi)
+    assert str(err.value).endswith(where)
 
 
 def test_integrate_interval_one_dimensional_returns_float():
