@@ -133,16 +133,20 @@ class GammaMatch:
 # no-CSI distributions (exact)
 # ---------------------------------------------------------------------------
 
-def _nocsi_q(x, params: SystemParams):
-    """b = 1/snr_scale and q = b x; raises for N > NOCSI_MAX_N before any work."""
-    n = params.n_elements
+def _check_nocsi_n(n: int) -> None:
+    """Raise OverflowError for N > NOCSI_MAX_N, whose no-CSI law is not computed."""
     if n > NOCSI_MAX_N:
         raise OverflowError(f"no-CSI SNR law needs N <= {NOCSI_MAX_N}, got N = {n}")
+
+
+def _nocsi_q(x, params: SystemParams):
+    """b = 1/snr_scale and q = b x; raises for N > NOCSI_MAX_N before any work."""
+    _check_nocsi_n(params.n_elements)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("the no-CSI SNR law requires x >= 0")
     b = 1.0 / params.snr_scale
-    # the error rule's top nodes reach past 1e300: q = +inf is a valid argument (F = 1)
+    # the ADEP lattice's top points reach past 1e300: q = +inf is a valid argument (F = 1)
     with np.errstate(over="ignore"):
         return b, b * x_arr
 
@@ -197,10 +201,12 @@ def gamma_match(alpha: float, beta: float) -> GammaMatch:
     return GammaMatch(shape=shape, scale=scale)
 
 
+_UNIT_MATCH = gamma_match(1.0, 1.0)
+
+
 def _gamma_law(params: SystemParams):
     """Shape a = N k and scale theta0 of the Gamma model of sum |g_n||h_n| at unit variances."""
-    match = gamma_match(1.0, 1.0)
-    return params.n_elements * match.shape, match.scale
+    return params.n_elements * _UNIT_MATCH.shape, _UNIT_MATCH.scale
 
 
 def snr_cdf_csi(x, params: SystemParams):
@@ -352,9 +358,12 @@ def cdf_exponent(params: SystemParams, mode: str) -> float:
     (1 - e^(-u))/u decreases.  a/2 = N k/2 for the Gamma model: F(x) =
     P(a, u) with u proportional to sqrt(x), and P(a, u)/u^a =
     int_0^1 t^(a-1) e^(-ut) dt / Gamma(a) decreases.  fbl.average_error
-    bounds the error rule's tail with it.
+    cuts its lattice with it.  Raises OverflowError for N > NOCSI_MAX_N
+    without CSI, like the law itself, so a curve that cannot be computed
+    fails before any work.
     """
     if mode == "nocsi":
+        _check_nocsi_n(params.n_elements)
         return 1.0
     if mode == "csi":
         a, _ = _gamma_law(params)

@@ -5,13 +5,12 @@ Each metric exists in up to three strengths:
   - "numerical": the exact rate or error curve averaged over the exact
     Bessel-K SNR law on fixed rules (the reference everything else is
     judged by): ADR against the unit-scale density in log y
-    (channel.log_snr_rule), ADEP by parts against the CDF on the nodes of
-    fbl.error_rule below its tail bound for p = 1 (fbl.average_error; 135
-    of 368 at M = 200, D = 100, for every N).  Both rules and the cut are
-    free of rho and cached, so these
-    methods, the rate bounds included, take a 1-D array of rho in
-    params.rho and evaluate the whole curve in one vectorized rate or CDF
-    call per row block;
+    (channel.log_snr_rule), ADEP by parts against the unit-scale CDF on
+    the lattice in ln x of fbl.average_error, cut for p = 1 (39 points
+    per rho at M = 200, D = 100, for every N).  Both rules are free of
+    rho and cached, so these methods, the rate bounds included, take a
+    1-D array of rho in params.rho and evaluate the whole curve in one
+    vectorized rate call per row block, or one CDF call on the lattice;
   - closed-form bounds / ramp approximations with the error curve replaced
     by its linearization;
   - high-SNR asymptotics exposing the scaling laws.

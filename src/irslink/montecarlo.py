@@ -194,10 +194,12 @@ def empirical_adep(params: SystemParams, mode: str, mc: McConfig) -> McEstimate:
 
 def empirical_snr_cdf(params: SystemParams, mode: str, mc: McConfig,
                       grid) -> np.ndarray:
-    """Empirical SNR CDF on a sorted grid (for distribution-fit checks)."""
+    """Empirical SNR CDF on a sorted grid (for distribution-fit checks); +-inf are valid points."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
+    if np.isnan(grid).any():
+        raise ValueError("grid must not contain NaN")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be sorted ascending")
     snr = np.sort(_per_trial_values(params, mode, mc, lambda s: s))

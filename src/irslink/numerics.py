@@ -16,7 +16,7 @@ through this module, so the contracts here are deliberately strict:
     pairwise overflow of q^(n/2) and K_n never shows.  The no-CSI CDF is
     F_N, and by A&S 9.6.28 its density is b/(N-1) times the survival one
     order down;
-  - the metric integrals run on fixed composite Gauss-Legendre rules
+  - the ADR integrals run on fixed composite Gauss-Legendre rules
     (gauss_legendre_panels) built once per rho-free configuration, and
     _dot_per_rho reduces a whole vector of rho on them in row blocks
     (_per_rho maps the closed forms' float formulas over such a vector);

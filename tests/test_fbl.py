@@ -8,7 +8,7 @@ import pytest
 
 from irslink import fbl, metrics_csi, metrics_nocsi
 from irslink.channel import SystemParams, snr_pdf_csi, snr_pdf_nocsi
-from irslink.numerics import integrate_interval, q_inv
+from irslink.numerics import integrate_interval, q_func, q_inv
 
 # mpmath oracle: Q(ln2 sqrt(200/0.9375) (2 - 0.5)) = Q(15.186094)
 DEEP_TAIL_ERROR = 2.1860421603259983e-52
@@ -23,6 +23,39 @@ def test_dispersion_values():
     assert abs(fbl.dispersion(g) / (g * (g + 2.0) / (1.0 + g) ** 2) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         fbl.dispersion(-0.5)
+
+
+def test_formulas_at_infinite_snr_are_their_limits():
+    # V(inf) and eps(inf) were NaN with a RuntimeWarning, and R(inf) warned;
+    # so was V from gamma ~ 1.3e154 on, where gamma (gamma + 2) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fbl.dispersion(math.inf) == 1.0
+        assert fbl.decode_error_prob(math.inf, 200, 100.0) == 0.0
+        assert fbl.achievable_rate(math.inf, 200, 1e-8) == math.inf
+        g = np.array([0.0, 3.0, 1e300, np.inf])
+        assert fbl.dispersion(g).tolist() == [0.0, 0.9375, 1.0, 1.0]
+        eps = fbl.decode_error_prob(g, 200, 100.0)
+        assert eps[0] == 1.0 and eps[-1] == 0.0
+        assert fbl.achievable_rate(g, 200, 1e-8)[-1] == math.inf
+
+
+def test_formulas_reject_nan_snr():
+    # decode_error_prob(nan) returned 1.0: NaN fails g > 0 and took the gamma = 0 convention
+    for g in (math.nan, np.array([1.0, np.nan])):
+        for formula in (fbl.dispersion, lambda x: fbl.decode_error_prob(x, 200, 100.0),
+                        lambda x: fbl.achievable_rate(x, 200, 1e-8)):
+            with pytest.raises(ValueError, match="NaN"):
+                formula(g)
+
+
+def test_finite_snr_formulas_unchanged():
+    # the infinite-SNR limits leave every finite value bit for bit the plain formula
+    g = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e153, 400)])
+    assert np.array_equal(fbl.dispersion(g), g * (g + 2.0) / (1.0 + g) ** 2)
+    g = g[2:]
+    arg = np.sqrt(200 / fbl.dispersion(g)) * (np.log1p(g) - 100.0 * math.log(2.0) / 200)
+    assert np.array_equal(fbl.decode_error_prob(g, 200, 100.0), q_func(arg))
 
 
 def test_achievable_rate_median_eps_is_shannon():
@@ -119,16 +152,18 @@ def test_linearization_ramp_limit_is_named():
             ramp(p)
 
 
-def test_error_rule_overflowing_nodes_are_silent():
-    # at M = 2, D = 8000 every node x(t) overflows to +inf, where F = 1
-    fbl.error_rule.cache_clear()
+def test_adep_lattice_overflowing_points_are_silent():
+    # at M = 2, D = 8000 the whole window lies past the double range, so
+    # every lattice point e^v is +inf, where F = 1
+    fbl._q_argument_roots.cache_clear()
+    fbl._error_window.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, _ = fbl.error_rule(2, 8000.0)
+        v_lo = fbl._error_window(2, 8000.0, 1.0)[1]
         p = SystemParams(n_elements=8, rho=10.0, blocklength=2, packet_bits=8000.0)
         assert metrics_nocsi.adep_numerical(p) == 1.0
         assert metrics_csi.adep_numerical(p) == 1.0
-    assert np.all(x == np.inf)
+    assert v_lo > math.log(np.finfo(float).max)
 
 
 @pytest.mark.parametrize("metrics,pdf", [(metrics_nocsi, snr_pdf_nocsi),

@@ -158,6 +158,16 @@ def test_empirical_snr_cdf_contract():
         mo.empirical_snr_cdf(P20, "nocsi", mcfg, grid[::-1])
 
 
+def test_empirical_snr_cdf_rejects_nan_keeps_infinities():
+    # a NaN passes the sort check (its differences are NaN): [nan, 0.1] gave [1, 0]
+    mcfg = McConfig(trials=1_000, seed=3)
+    for grid in ([np.nan, 0.1], [0.1, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            mo.empirical_snr_cdf(P20, "nocsi", mcfg, grid)
+    emp = mo.empirical_snr_cdf(P20, "csi", mcfg, [-np.inf, 0.0, 1.0, np.inf])
+    assert emp[0] == 0.0 and emp[-1] == 1.0 and np.all(np.diff(emp) >= 0.0)
+
+
 def test_reduce_stderr_of_tiny_values():
     # squaring deviations of ~1e-180 would underflow to a zero variance
     v = np.random.default_rng(4).random(1_000)

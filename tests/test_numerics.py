@@ -241,8 +241,8 @@ def _wide_rows(rng, r, k):
 
 
 # numpy's pairwise sum: a plain loop below 8 terms, 8 partial sums up to
-# 128 terms (15, the Gauss-Kronrod panel), halves above (135 and 368, the
-# cut and full error rule at M = 200, D = 100)
+# 128 terms (15, the Gauss-Kronrod panel), halves above (135, 368 and
+# 800; an ADEP lattice row is 39 to 354 points at M = 200, D = 100)
 @pytest.mark.parametrize("k", [3, 7, 15, 135, 368, 800])
 def test_row_sums_equal_one_row_reductions(k):
     rng = np.random.default_rng(k)

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from irslink import fbl, metrics_csi as mc, metrics_nocsi as mn
 from irslink.channel import (
@@ -181,19 +182,50 @@ def test_numerical_rate_at_median_eps_is_shannon(mode):
 # ADEP rule by parts
 # ---------------------------------------------------------------------------
 
-def test_error_rule_nodes_invert_the_q_argument():
-    # node x_i sits at Q argument t_i and carries phi(t_i) times its panel
-    # weight, so the weights below a panel edge s add up to Phi(s)
+def _density(v, m, d, positive):
+    """Q arguments w and sqrt(2 pi) g(v) = e^(-w^2/2) dw/dv at the lattice points v."""
+    w, slope = fbl._q_argument(v, m, d, positive)
+    return w, np.exp(-0.5 * w * w) * slope
+
+
+def _lattice_row(m, d, exponent, offset, full=False):
+    """Points v, Q arguments w and weights h g(v) of one row of the ADEP lattice.
+
+    The row starts at v_lo + offset h; full extends it past the cut to
+    w = 38, the top of the window.
+    """
+    h, v_lo, steps, _ = fbl._error_window(m, d, exponent)
+    length = _full_length(m, d, exponent) if full else steps.size
+    v = v_lo + h * (offset + np.arange(length))
+    w, g = _density(v, m, d, v_lo > 0.0)
+    return v, w, h / math.sqrt(2.0 * math.pi) * g
+
+
+def _full_length(m, d, exponent):
+    """Points of a row of the lattice run on to w = 38, uncut."""
+    h, v_lo = fbl._error_window(m, d, exponent)[:2]
+    return int((fbl._q_argument_roots(m, d)[1] - v_lo) / h) + 2
+
+
+def test_adep_lattice_weights_integrate_the_normal_law():
+    # the weights h g(v_j) are phi(t) dt at t = w(e^v_j): at any offset of the
+    # lattice they add up to 1, and against Phi((w - e)/2), a smooth CDF,
+    # they give E[Phi((T - e)/2)] = Q(e / sqrt 5) for T standard normal
     for m, d in ((200, 100.0), (50, 20.0), (2000, 1e-9)):
-        x, w = fbl.error_rule(m, d)
-        assert not (x.flags.writeable or w.flags.writeable)
-        arg = np.sqrt(m / fbl.dispersion(x)) * (np.log1p(x) - d * math.log(2.0) / m)
-        assert np.all(np.diff(arg) > 0.0)
-        assert -8.0 < arg[0] and arg[-1] < 38.0
-        for edge in (0.0, 2.0, 5.0):
-            below = math.fsum(w[arg < edge])
-            assert abs(below - 0.5 * math.erfc(-edge / math.sqrt(2.0))) <= 1e-14
-        assert fbl.error_rule(m, d) is fbl.error_rule(m, d)
+        for exponent in (1.0, 20.0):
+            h, _, steps, grid = fbl._error_window(m, d, exponent)
+            assert not (steps.flags.writeable or grid.flags.writeable)
+            assert np.array_equal(grid, h * steps)
+            assert fbl._error_window(m, d, exponent)[2] is steps
+            for offset in (0.0, 0.3, 0.7):
+                _, w, weight = _lattice_row(m, d, exponent, offset)
+                assert np.all(np.diff(w) > 0.0)
+                assert -9.0 - 1e-9 <= w[0] and w[1] < -8.0 and 9.0 < w[-1] < 38.0
+                assert abs(math.fsum(weight) - 1.0) <= 1e-14
+                for edge in (0.0, 2.0, 5.0):
+                    got = math.fsum(weight * 0.5 * erfc((edge - w) / math.sqrt(8.0)))
+                    ref = 0.5 * math.erfc(edge / math.sqrt(10.0))
+                    assert abs(got - ref) <= 1e-14 * ref, (m, d, exponent, offset, edge)
 
 
 @pytest.mark.parametrize("mode", ["nocsi", "csi"])
@@ -240,15 +272,23 @@ CUT_N = {"nocsi": (1, 2, 3, 8, 20, 64, 169), "csi": (1, 2, 8, 20, 64, 256, 1024,
 @pytest.mark.parametrize("mode", ["nocsi", "csi"])
 def test_adep_rule_cut_matches_full_rule(mode):
     # the dropped tail is at most 2^-60 of the sum, so only the rounding of
-    # the shorter row sum moves a value, and a zero stays a zero
+    # the shorter row sums moves a value, and a zero stays a zero
     rho = 10.0 ** (np.arange(-40.0, 61.0) / 10.0)
     for m, d in CUT_PACKETS:
-        x, w = fbl.error_rule(m, d)
         for n in CUT_N[mode]:
             p = SystemParams(n_elements=n, rho=rho, blocklength=m, packet_bits=d)
-            got = fbl.average_error(CDF[mode], p, cdf_exponent(p, mode))
-            full = CDF[mode](x, SystemParams(n_elements=n, rho=rho[:, None], blocklength=m,
-                                             packet_bits=d)) @ w
+            exponent = cdf_exponent(p, mode)
+            got = fbl.average_error(CDF[mode], p, exponent)
+            h, v_lo = fbl._error_window(m, d, exponent)[:2]
+            i = np.arange(_full_length(m, d, exponent))
+            full = np.empty(rho.size)
+            for k, r in enumerate(rho.tolist()):
+                # the same row, at the same points, run on to w = 38
+                first, start = (float(a[0]) for a in fbl._row_starts(r, h, v_lo))
+                _, g = _density(start + h * i, m, d, v_lo > 0.0)
+                with np.errstate(over="ignore"):
+                    f1 = CDF[mode](np.exp(h * (first + i)), SystemParams(n_elements=n))
+                full[k] = math.fsum(g * f1) / math.fsum(g)
             assert np.array_equal(got == 0.0, full == 0.0), (m, d, n)
             assert np.all(np.abs(got - full) <= 2e-15 * full), (m, d, n)
 
@@ -256,40 +296,54 @@ def test_adep_rule_cut_matches_full_rule(mode):
 @pytest.mark.parametrize("mode,n", [("nocsi", 1), ("nocsi", 2), ("nocsi", 20), ("nocsi", 169),
                                     ("csi", 1), ("csi", 20), ("csi", 1024)])
 def test_cdf_over_exponent_power_does_not_increase_on_the_nodes(mode, n):
-    # the premise of the cut: F(x_i)/x_i^p is non-increasing along the
-    # increasing nodes, up to the rounding of its logarithm (4 ulps of its terms)
+    # the premise of the cut: F(x_j)/x_j^p is non-increasing along the
+    # lattice points of the whole window, up to the rounding of its
+    # logarithm (4 ulps of its terms)
     for m, d in ((200, 100.0), (2, 0.02), (200, 1e-3)):
-        x, _ = fbl.error_rule(m, d)
+        p = SystemParams(n_elements=n, blocklength=m, packet_bits=d)
+        v, _, _ = _lattice_row(m, d, cdf_exponent(p, mode), 0.0, full=True)
+        x = np.exp(v)
         for snr_db in (-40.0, -10.0, 20.0, 60.0):
-            p = SystemParams(n_elements=n, rho=10.0 ** (snr_db / 10.0), blocklength=m,
-                             packet_bits=d)
+            p = replace(p, rho=10.0 ** (snr_db / 10.0))
             f = CDF[mode](x, p)
             assert np.all(np.diff(f) >= 0.0)
             pos = f > 0.0
-            log_f, log_xp = np.log(f[pos]), cdf_exponent(p, mode) * np.log(x[pos])
+            log_f, log_xp = np.log(f[pos]), cdf_exponent(p, mode) * v[pos]
             slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(log_f) + np.abs(log_xp))
             assert np.all(np.diff(log_f - log_xp) <= slack[1:]), (m, d, snr_db)
 
 
 def test_adep_rule_cut_is_cached_and_free_of_rho():
+    # one CDF call per curve, on unit-scale points e^(j h) with integer j,
+    # only where the rows reach: far-apart rho evaluate disjoint runs
     m, d = 200, 100.0
-    x, _ = fbl.error_rule(m, d)
     for mode in ("nocsi", "csi"):
         seen = []
 
         def cdf(nodes, params):
-            seen.append(nodes)
+            seen.append((nodes, params.snr_scale))
             return CDF[mode](nodes, params)
 
         p = SystemParams(n_elements=20, blocklength=m, packet_bits=d)
-        k = fbl._error_rule_length(m, d, cdf_exponent(p, mode))
-        misses = fbl._error_rule_length.cache_info().misses
-        for rho in (1e-4, 1.0, 1e6, np.array([1e-3, 10.0, 1e5])):
-            fbl.average_error(cdf, replace(p, rho=rho), cdf_exponent(p, mode))
-        assert fbl._error_rule_length.cache_info().misses == misses
-        assert k < x.size
-        assert all(nodes.base is x and np.array_equal(nodes, x[:k]) for nodes in seen)
-    assert fbl._error_rule_length(m, d, 1.0) == 135
+        exponent = cdf_exponent(p, mode)
+        h, _, step, _ = fbl._error_window(m, d, exponent)
+        misses = fbl._error_window.cache_info().misses
+        for rho in (1e-4, 1.0, 1e6, np.array([1e-3, 10.0, 1e5]), np.array([1e-4, 1.1e-4])):
+            seen.clear()
+            got = fbl.average_error(cdf, replace(p, rho=rho), exponent)
+            assert len(seen) == 1 and seen[0][1] == 1.0
+            j = np.log(seen[0][0]) / h
+            assert np.all(np.abs(j - np.round(j)) < 1e-9) and np.all(np.diff(j) > 0.5)
+            if np.ndim(rho) and rho[0] == 1e-4:
+                assert seen[0][0].size < 2 * step.size
+            else:
+                assert seen[0][0].size == np.size(rho) * step.size
+            assert np.array_equal(np.atleast_1d(got), [
+                fbl.average_error(CDF[mode], replace(p, rho=r), exponent)
+                for r in np.atleast_1d(rho).tolist()])
+        assert fbl._error_window.cache_info().misses == misses
+        assert step.size < _full_length(m, d, exponent)
+    assert fbl._error_window(m, d, 1.0)[2].size == 39
 
 
 def test_adep_rule_steep_csi_law():
